@@ -15,15 +15,23 @@ variable phi = gamma_s * |h_v_pd|^2 ~ Exponential(mean gamma_s).  All
 series below are arranged as sums of positive terms (or complements taken
 only when they cost at most one bit), so the same code is accurate from
 nu ~ 1 down to the deep high-SNR tail.
+
+Both phi-averaged outages are exact finite forms; no integrator runs here.
+Case 1 conditions on the direct branch and the beamforming gain instead of
+phi, which leaves Gauss hypergeometric values h_k = 2F1(1, k; n+2; a) with
+n + 1 - k >= 1.  They come from a three-term contiguous relation run outward
+from one seed in its contracting directions (`_case1_h`), not from
+`scipy.special.hyp2f1`, which on scipy 1.17.1 returns inf or out-of-bound
+values for n >= 99 and a > 0.9.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
 from math import comb, exp, expm1, factorial, lgamma, log
-from typing import Callable
 
-from scipy import integrate, special
+import numpy as np
+from scipy import special
 
 from .channel import decoding_set_pmf
 from .config import Case, SystemConfig, snr_threshold
@@ -39,7 +47,11 @@ class InvalidCase(Exception):
 
 
 class QuadratureFailure(Exception):
-    """Adaptive phi-averaging could not reach the requested tolerance."""
+    """Adaptive phi-averaging could not reach the requested tolerance.
+
+    The closed forms here never raise it; it stays the error type of the
+    quadrature oracles that check them.
+    """
 
 
 @dataclass(frozen=True)
@@ -50,6 +62,7 @@ class OutageBreakdown:
 
 
 def _breakdown(nu1: float, nu2: float) -> OutageBreakdown:
+    nu1, nu2 = float(nu1), float(nu2)     # the pmf makes them numpy scalars
     total = nu1 + nu2
     nu = min(max(total, 0.0), 1.0)
     if nu != total:
@@ -276,40 +289,95 @@ def case1_outage_given_phi(cfg: SystemConfig, phi: float) -> OutageBreakdown:
     return _breakdown(_case1_nu1_given_phi(cfg, phi), _nu_small_k(cfg, pmf))
 
 
-def average_over_phi(fn: Callable[[float], float], gamma_s: float,
-                     rel_tol: float = 1e-8) -> float:
-    """E[fn(phi)] over phi ~ Exponential(mean gamma_s).
+def _case1_h(n: int, a: float, b: float) -> list:
+    """h with h[k] = 2F1(1, k; n+2; a) for k = 0..n, where 0 <= a <= 1, b = 1 - a.
 
-    Substitutes phi = gamma_s*t and integrates fn(gamma_s*t) e^-t on [0, T]
-    by adaptive Gauss-Kronrod, doubling T from 30 until two successive
-    truncations agree to rel_tol (the e^-30 tail is already < 1e-12).
+    Uses the contiguous relation (DLMF 15.5)
+
+        (n+1-k) h_k + k b h_{k+1} = n+1,
+
+    solved downward (for h_k) below a seed index and upward (for h_{k+1})
+    above it.  Each step then computes the larger of the two left-hand terms
+    by subtraction from n+1, so rounding errors shrink from step to step.
+    The two terms balance near k* = (n+1)/(2-a), which is the seed, summed
+    from its positive series sum_j (k*)_j/(n+2)_j a^j.  When (n+1) b <= 1/2
+    that series converges too slowly, but then every downward step contracts,
+    so the seed is h_{n+1} = (n+1) a^-(n+1) (-ln b - sum_{i<=n} a^i/i).
     """
-    T = 30.0
-    prev = None
-    while T <= 3840.0:
-        res = integrate.quad(lambda t: fn(gamma_s * t) * exp(-t), 0.0, T,
-                             epsabs=0.0, epsrel=rel_tol / 10.0, limit=200,
-                             full_output=1)
-        val, err = res[0], res[1]
-        clean = len(res) == 3 and err <= rel_tol * max(abs(val), 1e-300)
-        if clean and prev is not None and abs(val - prev) <= rel_tol * abs(val):
-            return val
-        prev = val if clean else None
-        T *= 2.0
-    raise QuadratureFailure(
-        f"phi-average did not converge to rel_tol={rel_tol} by T={T / 2}")
+    h = [1.0] * (n + 2)
+    if (n + 1) * b <= 0.5:
+        k0 = n + 1
+        apow, head = 1.0, 0.0
+        for i in range(1, n + 1):
+            apow *= a
+            head += apow / i
+        # b = 0 (Q*gamma_s overflowed) drops every k b h_{k+1} term below
+        h[k0] = (n + 1) * (-log(b) - head) / (apow * a) if b > 0.0 else 0.0
+    else:
+        k0 = min(max(round((n + 1) / (2.0 - a)), 1), n)
+        # terms fall at least as fast as a^j, so 40/b of them reach e^-40
+        j = np.arange(int(40.0 / b) + 1, dtype=float)
+        h[k0] = 1.0 + float(np.cumprod((k0 + j) / (n + 2 + j) * a).sum())
+        for k in range(k0, n):
+            h[k + 1] = (n + 1 - (n + 1 - k) * h[k]) / (k * b)
+    for k in range(k0 - 1, 0, -1):
+        h[k] = (n + 1 - k * b * h[k + 1]) / (n + 1 - k)
+    return h
+
+
+def _case1_nu1(Q: float, gamma_s: float, pmf) -> float:
+    """nu1 = sum_{K>=2} pmf[K] I_{K-1}(Q), I_n(Q) = Pr{D + G_n/(1+phi) < Q}.
+
+    With D ~ Exp(1), G_n ~ Gamma(n, 1) and Pr{1+phi > y} = e^{-c(y-1)},
+    c = 1/gamma_s, conditioning on D and G_n gives
+
+        I_n(Q) = P(n+1, Q) + e^-Q sum_{k=1..n} F_{n,k}/(n-k)!,
+        F_{n,k} = int_0^Q v^n (v+c)^-k dv = (Q+c)^{n+1-k} a^{n+1} h_k/(n+1),
+
+    with a = Q/(Q+c) and h_k from `_case1_h`.  Regrouped as
+    I_n = P(n+1, Q) + Q/(n+1) sum_k pi_{n-k} a^k h_k, with pi_j = e^-Q Q^j/j!
+    the Poisson pmf, pi_j, a^k and h_k all lie in [0, n+1]: nothing overflows
+    and, every term being positive, the deep tail keeps full relative precision.
+    """
+    cg = Q * gamma_s
+    b = 1.0 / (1.0 + cg)
+    a = cg * b if cg <= 1.0 else 1.0 - b
+    pois = [exp(-Q)]
+    for j in range(1, len(pmf) - 2):
+        pois.append(pois[-1] * Q / j)
+    nu1 = 0.0
+    for K in range(2, len(pmf)):
+        n = K - 1
+        p = poisson_tail(n + 1, Q)
+        if p == 1.0:
+            nu1 += pmf[K]         # I_n is pinned between P(n+1, Q) and 1
+            continue
+        h = _case1_h(n, a, b)
+        acc, apow = 0.0, 1.0
+        for k in range(1, n + 1):
+            apow *= a
+            acc += pois[n - k] * apow * h[k]
+        nu1 += pmf[K] * (p + Q / (n + 1) * acc)
+    return nu1
 
 
 def case1_outage(cfg: SystemConfig) -> OutageBreakdown:
-    """Primary outage with a direct link, averaged over the interference phi."""
+    """Primary outage with a direct link, averaged over the interference phi.
+
+    Exact and finite: nu1 = sum_K pmf[K] I_{K-1}(Q) with
+    I_n = P(n+1, Q) + Q/(n+1) sum_{k=1..n} pi_{n-k}(Q) a^k h_k, derived in
+    `_case1_nu1`.  The h_k = 2F1(1, k; n+2; a) come from the recurrence in
+    `_case1_h`, not from `scipy.special.hyp2f1`, which on scipy 1.17.1 is
+    inf or outside 1 <= h_k <= (n+1)/(n+1-k) for n >= 99 and a > 0.9.
+    """
     if cfg.case is not Case.DIRECT_LINK:
         raise InvalidCase("case1_outage needs cfg.case = DIRECT_LINK")
     pmf = decoding_set_pmf(cfg)
     nu2 = _nu_small_k(cfg, pmf)
-    if _threshold_q(cfg) == 0.0:
+    Q = _threshold_q(cfg)
+    if Q == 0.0:
         return _breakdown(0.0, nu2)
-    nu1 = average_over_phi(lambda phi: _case1_nu1_given_phi(cfg, phi), cfg.gamma_s)
-    return _breakdown(nu1, nu2)
+    return _breakdown(_case1_nu1(Q, cfg.gamma_s, pmf), nu2)
 
 
 def case1_outage_highsnr(cfg: SystemConfig) -> float:

@@ -11,20 +11,24 @@ with a `#` stamp line recording the resolved configuration, seed and trial
 count (but not workers or output path), so a byte-identical file certifies a
 reproduced run.
 
-Exit codes: 0 success, 1 validation failure (some |z| > 4), 2 bad config.
+Exit codes: 0 success, 1 validation failure (some |z| > 4), 2 bad config,
+3 library error (a numerical or model failure such as an unfittable DMT
+curve; one `cogrelay: ...` line on stderr, no traceback).
 """
 from __future__ import annotations
 
 import argparse
 import sys
 from dataclasses import dataclass, replace
-from math import inf, sqrt
+from math import inf, isfinite, sqrt
 
 import numpy as np
 
-from .analytic import outage_highsnr, outage_probability
+from .analytic import InvalidCase, QuadratureFailure, outage_highsnr, outage_probability
+from .beamform import DegenerateChannel
 from .config import Case, SystemConfig
-from .dmt import DiversitySource, analytic_dmt, empirical_diversity, multiplexing_limit
+from .dmt import (DegenerateFit, DiversitySource, analytic_dmt, empirical_diversity,
+                  multiplexing_limit)
 from .qos import (PrimaryInfeasible, SecondaryInfeasible, max_lambda_k,
                   search_zeta, solve_assignment)
 from .simulate import estimate_outage
@@ -32,6 +36,10 @@ from .simulate import estimate_outage
 
 class ConfigError(Exception):
     """Bad key, value, or combination in a config file or CLI override."""
+
+
+# the library's own failures, reported with exit code 3
+_LIBRARY_ERRORS = (DegenerateChannel, DegenerateFit, InvalidCase, QuadratureFailure)
 
 
 EXPERIMENTS = ("outage-curve", "validate", "dmt", "qos-sweep", "fig1", "fig2")
@@ -360,6 +368,8 @@ def build_spec(argv=None):
     cfg = _build_cfg(values)
     sweep = {key: values[key] for key in
              ("gamma_min", "gamma_max", "R_min", "R_max", "n_points", "k", "dmt_source")}
+    if not all(isfinite(sweep[key]) for key in ("gamma_min", "gamma_max", "R_min", "R_max")):
+        raise ConfigError("sweep ranges must be finite")
     if sweep["n_points"] < 2:
         raise ConfigError("n_points must be >= 2")
     if sweep["gamma_min"] <= 0 or sweep["gamma_max"] <= sweep["gamma_min"]:
@@ -385,6 +395,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"cogrelay: {err}", file=sys.stderr)
         return 2
+    except _LIBRARY_ERRORS as err:
+        print(f"cogrelay: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ zero-forcing beamformer on top of the secondary transmission.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -37,6 +38,10 @@ class SystemConfig:
     lambda_s: tuple[float, ...] | None = None  # per-SU throughput targets, length M (default zeros)
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "M", operator.index(self.M))
+        except TypeError:
+            raise ValueError(f"M must be an integer, got {self.M!r}") from None
         if not isinstance(self.case, Case):
             object.__setattr__(self, "case", Case(self.case))
         if self.lambda_s is None:
@@ -45,10 +50,12 @@ class SystemConfig:
             object.__setattr__(self, "lambda_s", tuple(float(x) for x in self.lambda_s))
         if self.M < 2:
             raise ValueError(f"need at least two secondary users, got M={self.M}")
+        if not (math.isfinite(self.gamma_p) and math.isfinite(self.gamma_s)):
+            raise ValueError(f"SNRs must be finite, got {self.gamma_p} and {self.gamma_s}")
         if self.gamma_p <= 0 or self.gamma_s <= 0:
             raise ValueError("SNRs must be positive")
-        if self.R < 0:
-            raise ValueError(f"rate must be nonnegative, got R={self.R}")
+        if not math.isfinite(self.R) or self.R < 0:
+            raise ValueError(f"rate must be finite and nonnegative, got R={self.R}")
         if not 0.0 < self.zeta < 1.0:
             raise ValueError(f"zeta must lie strictly inside (0, 1), got {self.zeta}")
         if not 0.0 <= self.lambda_p <= 1.0:

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from cogrelay import (Case, InvalidCase, SystemConfig, average_over_phi,
+from cogrelay import (Case, InvalidCase, SystemConfig,
                       case1_outage, case1_outage_given_phi,
                       case1_outage_highsnr, case2_outage,
                       case2_outage_given_phi, case2_outage_highsnr,
                       decoding_set_pmf, effective_gain, outage_highsnr,
                       outage_probability, snr_threshold, substream)
 from cogrelay.analytic import _expected_poisson_tail
+from oracles import average_over_phi
 
 
 def _cfg(M=4, gamma_p=50.0, gamma_s=30.0, R=0.5, case="direct", zeta=0.5):
@@ -298,3 +299,94 @@ def test_case_dispatch_errors():
     assert outage_probability(c2).nu == case2_outage(c2).nu
     assert outage_highsnr(c1) == case1_outage_highsnr(c1)
     assert outage_highsnr(c2) == case2_outage_highsnr(c2)
+
+
+# ------------------------------------------------------------- case-1 closed form
+
+def _raw_phi_quad(cfg):
+    # raw quad over phi in [0, inf) with the Exp density, as in the dual route
+    val, err = integrate.quad(
+        lambda p: case1_outage_given_phi(cfg, p).nu1 * math.exp(-p / cfg.gamma_s) / cfg.gamma_s,
+        0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=400)
+    return val
+
+
+def test_case1_closed_form_stress_grid():
+    # gamma_p x gamma_s corners for each M, with R cycling through its range
+    # so that (gamma_p = 1, gamma_s = 1e4) never meets R = 1.5: that corner
+    # defeats this oracle and is checked against the raw route below
+    rates = (0.05, 0.5, 1.5)
+    corners = [(g, gs) for g in (1.0, 1e2, 1e4, 1e8) for gs in (1e-2, 1.0, 30.0, 1e4)]
+    points = [(M, g, gs, rates[(i + M) % 3])
+              for M in (3, 4, 6, 10) for i, (g, gs) in enumerate(corners)]
+    points += [(40, 1e4, 1e-2, 1.5), (40, 1e8, 1.0, 1.5)]
+    for M, g, gs, R in points:
+        cfg = _cfg(M=M, gamma_p=g, gamma_s=gs, R=R)
+        ref = average_over_phi(lambda p: case1_outage_given_phi(cfg, p).nu1, gs,
+                               rel_tol=1e-11)
+        got = case1_outage(cfg).nu1
+        assert math.isclose(got, ref, rel_tol=1e-10), (M, g, gs, R, got, ref)
+
+
+def test_case1_former_quadrature_failures():
+    # the phi-averaging route raised QuadratureFailure on these valid inputs
+    for M in (3, 4, 6):
+        cfg = _cfg(M=M, gamma_p=1.0, gamma_s=1e4, R=1.5)
+        got = case1_outage(cfg)
+        assert math.isclose(got.nu1, _raw_phi_quad(cfg), rel_tol=1e-10), M
+        assert 0.0 <= got.nu <= 1.0
+
+
+def test_case1_hypergeometric_recurrence_vs_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    from cogrelay.analytic import _case1_h
+    with mpmath.workdps(30):
+        for n in (1, 2, 7, 40, 98, 99, 120, 168):
+            # every k up to n = 40, then both ends, the quarters and the a = 0.9 seed
+            ks = range(1, n + 1) if n <= 40 else sorted(
+                {1, 2, n // 4, n // 2, 3 * n // 4, round((n + 1) / 1.1), n - 1, n})
+            for a in (1e-12, 0.5, 0.9, 0.99, 1.0 - 1e-9):
+                h = _case1_h(n, a, 1.0 - a)
+                for k in ks:
+                    ref = float(mpmath.hyp2f1(1, k, n + 2, a))
+                    assert math.isclose(h[k], ref, rel_tol=1e-13), (n, a, k, h[k], ref)
+
+
+def test_case1_large_m_stays_finite():
+    # scipy's hyp2f1 is inf or out of bounds here (n >= 99, a > 0.9); the
+    # phi-quadrature route gave nu1 = 0.8730261390729194 in about 20 s
+    b = case1_outage(_cfg(M=120, gamma_p=1.0, gamma_s=30.0, R=1.0))
+    assert math.isfinite(b.nu) and 0.0 <= b.nu <= 1.0
+    assert abs(b.nu1 - 0.8730261390729194) <= 1e-12
+
+
+def test_case1_total_over_m_range():
+    for M in range(2, 171):
+        for g, gs, R in ((1.0, 1e4, 1.5), (1e8, 1e-2, 0.05), (50.0, 30.0, 0.5),
+                         (1e2, 1e4, 1.0)):
+            nu = case1_outage(_cfg(M=M, gamma_p=g, gamma_s=gs, R=R)).nu
+            assert math.isfinite(nu) and 0.0 <= nu <= 1.0, (M, g, gs, R, nu)
+
+
+def test_case1_deep_tail_highsnr_ratio():
+    for M in (3, 10, 40):
+        cfg = _cfg(M=M, gamma_p=1e8, gamma_s=30.0, R=0.5)
+        ratio = case1_outage(cfg).nu / case1_outage_highsnr(cfg)
+        assert abs(ratio - 1.0) <= 0.01, (M, ratio)
+
+
+def test_case1_outage_m40_is_fast():
+    import time
+    cfg = _cfg(M=40)
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        case1_outage(cfg)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.05, best
+
+
+def test_breakdown_fields_are_plain_floats():
+    for case in ("direct", "nodirect"):
+        b = outage_probability(_cfg(M=5, case=case))
+        assert all(type(x) is float for x in (b.nu1, b.nu2, b.nu)), (case, b)

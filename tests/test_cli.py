@@ -24,6 +24,14 @@ def _run(tmp_path, *args):
     return code, text
 
 
+def _child_env():
+    """os.environ with PYTHONPATH starting at the source tree this process imports."""
+    src = str(Path(cogrelay.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def _rows(text):
     lines = [l for l in text.splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
@@ -79,6 +87,48 @@ def test_bad_inputs_exit_2(args, tmp_path, capsys):
     code = main([*args, "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "cogrelay:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--gamma_p", "nan"],
+    ["--R", "inf"],
+    ["--M", "3.5"],
+    ["--gamma_max", "inf"],
+])
+def test_non_finite_or_fractional_inputs_exit_2(args, tmp_path, capsys):
+    code = main(["--experiment", "outage-curve", *args, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "cogrelay:" in capsys.readouterr().err
+
+
+def test_library_error_exits_3_without_traceback(tmp_path):
+    # R = 0 leaves the outage at 0 on the whole SNR grid: no diversity fit
+    proc = subprocess.run(
+        [sys.executable, "-m", "cogrelay.cli", "--experiment", "dmt", "--R", "0",
+         "--out", str(tmp_path / "dmt.csv")],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("cogrelay: DegenerateFit") and proc.stderr.count("\n") == 1
+
+
+def test_outage_curve_at_former_quadrature_failures(tmp_path):
+    # gamma_s = 1e4, R = 1.5 once raised QuadratureFailure near gamma_p = 1
+    for M in ("3", "4", "6"):
+        code, text = _run(tmp_path, "--experiment", "outage-curve", "--gamma_s", "10000",
+                          "--R", "1.5", "--M", M)
+        assert code == 0, M
+        _, rows = _rows(text)
+        assert all(0.0 <= float(r[1]) <= 1.0 for r in rows), M
+
+
+def test_import_leaves_scipy_integrate_out():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cogrelay; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_override_beats_config_file(tmp_path):
@@ -238,9 +288,7 @@ def test_console_script_end_to_end(tmp_path):
                         f"    sys.exit({attr}())\n")
     launcher.chmod(0o755)
     # Both children import the same source tree as this process.
-    src = str(Path(cogrelay.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _child_env()
     env["PATH"] = os.pathsep.join(filter(None, [str(bin_dir), env.get("PATH")]))
 
     out = tmp_path / "cli.csv"

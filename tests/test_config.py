@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from cogrelay import Case, SystemConfig, snr_threshold
@@ -74,3 +75,28 @@ def test_frozen():
     cfg = SystemConfig(M=4, gamma_p=50.0, gamma_s=30.0, R=0.5)
     with pytest.raises(Exception):
         cfg.M = 5
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(gamma_p=math.nan),
+    dict(gamma_p=math.inf),
+    dict(gamma_s=math.nan),
+    dict(gamma_s=math.inf),
+    dict(gamma_s=-math.inf),
+    dict(R=math.nan),
+    dict(R=math.inf),
+    dict(M=3.5),
+    dict(M=4.0),
+    dict(M="4"),
+])
+def test_non_finite_and_non_integral_rejected(kwargs):
+    base = dict(M=4, gamma_p=50.0, gamma_s=30.0, R=0.5)
+    base.update(kwargs)
+    with pytest.raises(ValueError):
+        SystemConfig(**base)
+
+
+def test_numpy_integer_m_accepted():
+    cfg = SystemConfig(M=np.int64(4), gamma_p=50.0, gamma_s=30.0, R=0.5)
+    assert cfg.M == 4 and type(cfg.M) is int
+    assert cfg.lambda_s == (0.0,) * 4
