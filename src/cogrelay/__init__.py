@@ -8,7 +8,7 @@ validation, diversity-multiplexing tradeoff curves, and the QoS-feasible
 TDMA assignment, plus a CLI driver for the standard experiments.
 """
 from .analytic import (InvalidCase, OutageBreakdown, QuadratureFailure,
-                       case1_outage, case1_outage_given_phi,
+                       SeriesNotConverged, case1_outage, case1_outage_given_phi,
                        case1_outage_highsnr, case2_outage,
                        case2_outage_given_phi, case2_outage_highsnr,
                        lower_incomplete_gamma, outage_highsnr,
@@ -38,7 +38,7 @@ __all__ = [
     "DiversitySource", "DmtCurve", "InvalidCase", "OutageBreakdown",
     "OutageEstimate", "OutageSimulation", "PrimaryInfeasible", "QosSolution",
     "QuadratureFailure", "ScheduleEstimate", "SecondaryInfeasible",
-    "SlotOutcome", "SystemConfig", "analytic_dmt",
+    "SeriesNotConverged", "SlotOutcome", "SystemConfig", "analytic_dmt",
     "case1_outage", "case1_outage_given_phi", "case1_outage_highsnr",
     "case2_outage", "case2_outage_given_phi", "case2_outage_highsnr",
     "decode_mask", "decoding_probability", "decoding_set_pmf",

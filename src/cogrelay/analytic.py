@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import comb, exp, expm1, factorial, lgamma, log
+from math import comb, exp, expm1, factorial, inf, lgamma, log
 
 import numpy as np
 from scipy import special
@@ -41,9 +41,21 @@ _log = logging.getLogger(__name__)
 # float64 factorial limit: 170! is finite, 171! overflows
 _MAX_ORDER = 170
 
+# term cap for every open-ended series below: over their reachable domain
+# none takes more than ~10^4 terms, so hitting it means a NaN or absurd input
+_MAX_TERMS = 1_000_000
+
 
 class InvalidCase(Exception):
     """Operation called for the wrong topology case."""
+
+
+class SeriesNotConverged(Exception):
+    """A series hit its term cap without meeting its stopping rule."""
+
+
+def _cap_reached(name: str) -> SeriesNotConverged:
+    return SeriesNotConverged(f"{name} did not converge in {_MAX_TERMS} terms")
 
 
 class QuadratureFailure(Exception):
@@ -117,13 +129,13 @@ def lower_incomplete_gamma(m_plus_1: int, s: float) -> float:
     prefactor = exp(n * log(s) - s)
     term = 1.0 / n
     total = term
-    k = n + 1
-    while True:
+    for k in range(n + 1, n + 1 + _MAX_TERMS):
         term *= s / k
         total += term
-        k += 1
         if term <= 1e-17 * total:
             return prefactor * total
+    else:
+        raise _cap_reached("lower_incomplete_gamma")
 
 
 def poisson_tail(n: int, x: float) -> float:
@@ -135,18 +147,43 @@ def poisson_tail(n: int, x: float) -> float:
     return float(special.gammainc(n, x))
 
 
-def _moment_one_plus_phi(n: int, gamma_s: float) -> float:
-    """E[(1+phi)^n] for phi ~ Exponential(mean gamma_s).
+def _log_moments(n_max: int, gamma_s: float) -> list:
+    """log(E[(1+phi)^n]/n!) for n = 0..n_max, phi ~ Exponential(mean gamma_s).
 
-    Equals sum_{j<=n} n!/(n-j)! gamma_s^j (exponential raw moments); e.g.
-    n=1 -> 1 + gamma_s, n=2 -> 1 + 2 gamma_s + 2 gamma_s^2.
+    E[(1+phi)^n]/n! = sum_{i<=n} gamma_s^(n-i)/i! overflows for large n, so
+    for gamma_s > 1 it is kept as gamma_s^n r_n with r_n = sum_{i<=n}
+    gamma_s^-i/i! in [1, e]; otherwise the moment E_n = 1 + n gamma_s E_{n-1}
+    itself stays below e*n!.
     """
-    term = 1.0
-    total = 1.0
-    for j in range(1, n + 1):
-        term *= (n - j + 1) * gamma_s
-        total += term
-    return total
+    out = [0.0]
+    if gamma_s > 1.0:
+        log_g = log(gamma_s)
+        term = r = 1.0
+        for n in range(1, n_max + 1):
+            term /= n * gamma_s
+            r += term
+            out.append(n * log_g + log(r))
+    else:
+        e = 1.0
+        for n in range(1, n_max + 1):
+            e = 1.0 + n * gamma_s * e
+            out.append(log(e) - lgamma(n + 1))
+    return out
+
+
+def _log_pow(x: float, n: int) -> float:
+    """log(x^n), with 0^0 = 1 and log(0) = -inf."""
+    if n == 0:
+        return 0.0
+    return n * log(x) if x > 0.0 else -inf
+
+
+def _exp(x: float) -> float:
+    """exp(x), saturating to inf where math.exp raises OverflowError."""
+    try:
+        return exp(x)
+    except OverflowError:
+        return inf
 
 
 # --- phi-averaged Gamma CDF (the Eq.-(30)-type inner sum, regrouped) -----
@@ -191,15 +228,15 @@ def _expected_poisson_tail(n: int, c: float, gamma_s: float) -> float:
         return 1.0 - partial
     emax = exp(1.0 / gamma_s)   # upper bound on all P_m
     tail = 0.0
-    m = n
-    while True:
+    for m in range(n, n + _MAX_TERMS):
         tail += base * apow * P
         apow *= a
         t *= z / (m + 1)
         P += t
-        m += 1
         if apow * emax <= 1e-16 * tail:
             return tail
+    else:
+        raise _cap_reached("_expected_poisson_tail")
 
 
 # --- case 1: direct link + MRC ------------------------------------------
@@ -242,14 +279,13 @@ def _case1_bracket(K: int, Q: float, phi: float) -> float:
         # V(m, s) by its positive series: e^-s/(m+1) * (1 + s/(m+2) + ...)
         v = 1.0 / (m + 1)
         total_v = v
-        i = m + 2
-        while True:
+        for i in range(m + 2, m + 2 + _MAX_TERMS):
             v *= s / i
             total_v += v
-            i += 1
             if v <= 1e-17 * total_v:
-                break
-        return u_m * exp(-s) * total_v
+                return u_m * exp(-s) * total_v
+        else:
+            raise _cap_reached("_case1_bracket")
 
     # U_m = e^-Q Q X^m / m!, tracked multiplicatively for the series branch
     X = Q * (1.0 + phi)
@@ -264,15 +300,15 @@ def _case1_bracket(K: int, Q: float, phi: float) -> float:
 
     # positive tail from m = K-1; terms decay once X/(m+1) < 1
     acc = 0.0
-    m = K - 1
-    u_m = exp(-Q + m * log(X) + log(Q) - lgamma(m + 1))
-    while True:
+    u_m = exp(-Q + (K - 1) * log(X) + log(Q) - lgamma(K))
+    for m in range(K - 1, K - 1 + _MAX_TERMS):
         acc += term(m, u_m)
         u_m *= X / (m + 1)
-        m += 1
-        rho = X / (m + 1)
-        if rho < 1.0 and u_m / (m + 1) <= (1.0 - rho) * 1e-16 * acc:
+        rho = X / (m + 2)
+        if rho < 1.0 and u_m / (m + 2) <= (1.0 - rho) * 1e-16 * acc:
             return acc
+    else:
+        raise _cap_reached("_case1_bracket")
 
 
 def _case1_nu1_given_phi(cfg: SystemConfig, phi: float) -> float:
@@ -381,15 +417,18 @@ def case1_outage(cfg: SystemConfig) -> OutageBreakdown:
 
 
 def case1_outage_highsnr(cfg: SystemConfig) -> float:
-    """Leading Q^(M-1) term of the case-1 outage as gamma_p grows."""
+    """Leading Q^(M-1) term of the case-1 outage as gamma_p grows.
+
+    Sums C(M-1,K) E[(1+phi)^{K-1}]/K! Q^{M-1} over K = 1..M-1 (K = 1 gives
+    the (M-1) Q^{M-1} of a lone decoder).  Each term is formed in logs: for
+    large M the moment overflows while Q^{M-1} underflows.
+    """
     if cfg.case is not Case.DIRECT_LINK:
         raise InvalidCase("case1_outage_highsnr needs cfg.case = DIRECT_LINK")
-    Q = _threshold_q(cfg)
-    bracket = sum(
-        comb(cfg.M - 1, K) * _moment_one_plus_phi(K - 1, cfg.gamma_s) / factorial(K)
-        for K in range(2, cfg.M)
-    )
-    return (bracket + (cfg.M - 1)) * Q ** (cfg.M - 1)
+    m = cfg.M - 1
+    log_q = _log_pow(_threshold_q(cfg), m)
+    log_s = _log_moments(m - 1, cfg.gamma_s)
+    return sum(_exp(log(comb(m, K) / K) + log_s[K - 1] + log_q) for K in range(1, cfg.M))
 
 
 # --- case 2: no direct link ----------------------------------------------
@@ -424,22 +463,19 @@ def case2_outage_highsnr(cfg: SystemConfig) -> float:
     Keeps every decoding-set size: the K-relay branch contributes
     C(M-1,K) Q_b^{M-1-K} Q_f^{K-1} E[(1+phi)^{K-1}]/(K-1)! and K < 2
     contributes (M-1) Q_b^{M-2}, with Q_b and Q_f the broadcast- and
-    forward-phase thresholds.  Every term carries gamma^-(M-2).
+    forward-phase thresholds.  Every term carries gamma^-(M-2) and is formed
+    in logs, so large-M moments cannot overflow against small Q powers.
     """
     if cfg.case is not Case.NO_DIRECT_LINK:
         raise InvalidCase("case2_outage_highsnr needs cfg.case = NO_DIRECT_LINK")
     q_b = snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p
     q_f = snr_threshold(cfg.forward_rate()) / cfg.gamma_p
-    total = (cfg.M - 1) * q_b ** (cfg.M - 2)
-    for K in range(2, cfg.M):
-        total += (
-            comb(cfg.M - 1, K)
-            * q_b ** (cfg.M - 1 - K)
-            * q_f ** (K - 1)
-            * _moment_one_plus_phi(K - 1, cfg.gamma_s)
-            / factorial(K - 1)
-        )
-    return total
+    m = cfg.M - 1
+    log_s = _log_moments(m - 1, cfg.gamma_s)
+    return sum(
+        _exp(log(comb(m, K)) + _log_pow(q_b, m - K) + _log_pow(q_f, K - 1) + log_s[K - 1])
+        for K in range(1, cfg.M)
+    )
 
 
 # --- case dispatchers -----------------------------------------------------

@@ -13,7 +13,8 @@ reproduced run.
 
 Exit codes: 0 success, 1 validation failure (some |z| > 4), 2 bad config,
 3 library error (a numerical or model failure such as an unfittable DMT
-curve; one `cogrelay: ...` line on stderr, no traceback).
+curve or a series that hits its term cap; one `cogrelay: ...` line on stderr,
+no traceback).
 """
 from __future__ import annotations
 
@@ -24,7 +25,8 @@ from math import inf, isfinite, sqrt
 
 import numpy as np
 
-from .analytic import InvalidCase, QuadratureFailure, outage_highsnr, outage_probability
+from .analytic import (InvalidCase, QuadratureFailure, SeriesNotConverged, outage_highsnr,
+                       outage_probability)
 from .beamform import DegenerateChannel
 from .config import Case, SystemConfig
 from .dmt import (DegenerateFit, DiversitySource, analytic_dmt, empirical_diversity,
@@ -39,7 +41,8 @@ class ConfigError(Exception):
 
 
 # the library's own failures, reported with exit code 3
-_LIBRARY_ERRORS = (DegenerateChannel, DegenerateFit, InvalidCase, QuadratureFailure)
+_LIBRARY_ERRORS = (DegenerateChannel, DegenerateFit, InvalidCase, QuadratureFailure,
+                   SeriesNotConverged)
 
 
 EXPERIMENTS = ("outage-curve", "validate", "dmt", "qos-sweep", "fig1", "fig2")

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import exp, fsum, nan
 
-from .analytic import InvalidCase, outage_probability
+from .analytic import InvalidCase, _nu_small_k, outage_probability
+from .channel import decoding_set_pmf
 from .config import Case, SystemConfig, snr_threshold
 
 
@@ -83,42 +84,39 @@ def solve_assignment(cfg: SystemConfig, k: int) -> QosSolution:
         raise SecondaryInfeasible(
             f"rate demands sum to {total:.6g} > service probability {f:.6g}"
         )
-    omega = [lam / f for lam in cfg.lambda_s]
+    omega = [lam / f if lam else 0.0 for lam in cfg.lambda_s]   # f may be 0
     omega[k] = max(0.0, 1.0 - fsum(w for j, w in enumerate(omega) if j != k))
     others = fsum(lam for j, lam in enumerate(cfg.lambda_s) if j != k)
-    return QosSolution(
-        feasible=True,
-        omega=tuple(omega),
-        zeta=cfg.zeta,
-        lambda_k_max=max(0.0, f - others),
-        slack=f - total,
-        k=k,
-    )
+    return QosSolution(feasible=True, omega=tuple(omega), zeta=cfg.zeta,
+                       lambda_k_max=max(0.0, f - others), slack=f - total, k=k)
 
 
 def search_zeta(cfg: SystemConfig, k: int, grid_size: int = 999) -> QosSolution:
-    """Best slot split for the no-direct-link case by exhaustive grid scan.
+    """Best slot split for the no-direct-link case: the first feasible grid zeta.
 
-    Evaluates zeta = i/(grid_size+1) for i = 1..grid_size and keeps the
-    feasible point with the largest slack (ties: larger lambda_k_max, then
-    smaller zeta).  Returns an infeasible marker solution when no grid point
-    satisfies both the primary and secondary constraints.
+    Scans zeta = i/(grid_size+1), i = 1..grid_size, upward.  The secondary
+    rate R/(1-zeta) grows with zeta, so f, slack = f - sum(lambda_s) and
+    lambda_k_max never rise, and the first point meeting both constraints is
+    the grid optimum (largest slack, then lambda_k_max, then smallest zeta);
+    with none, an infeasible marker is returned.  Exact prunes before the
+    outage closed form: stop once sum(lambda_s) > f; skip a point with
+    lambda_p > 1 - min(nu2, 1), which is >= 1 - nu because nu1 >= 0.
     """
     if cfg.case is not Case.NO_DIRECT_LINK:
         raise InvalidCase("search_zeta applies to the no-direct-link case only")
     k = _check_k(cfg, k)
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
-    best = None
+    total = fsum(cfg.lambda_s)
     for i in range(1, grid_size + 1):
-        zeta = i / (grid_size + 1)
-        try:
-            sol = solve_assignment(replace(cfg, zeta=zeta), k)
-        except (PrimaryInfeasible, SecondaryInfeasible):
+        cfg_i = replace(cfg, zeta=i / (grid_size + 1))
+        if total > secondary_success_prob(cfg_i):
+            break
+        if cfg.lambda_p > 1.0 - min(_nu_small_k(cfg_i, decoding_set_pmf(cfg_i)), 1.0):
             continue
-        if best is None or (sol.slack, sol.lambda_k_max) > (best.slack, best.lambda_k_max):
-            best = sol
-    if best is None:
-        return QosSolution(feasible=False, omega=(nan,) * cfg.M, zeta=nan,
-                           lambda_k_max=0.0, slack=nan, k=k)
-    return best
+        try:
+            return solve_assignment(cfg_i, k)
+        except PrimaryInfeasible:
+            continue
+    return QosSolution(feasible=False, omega=(nan,) * cfg.M, zeta=nan,
+                       lambda_k_max=0.0, slack=nan, k=k)

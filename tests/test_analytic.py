@@ -5,6 +5,7 @@ share code with the implementation — hand-derived special cases (M = 2, 3),
 direct scipy quadrature of the defining integrals, or conditional Monte
 Carlo with fixed seeds.  No expected value is copied out of the library.
 """
+import itertools
 import math
 
 import numpy as np
@@ -17,8 +18,10 @@ from cogrelay import (Case, InvalidCase, SystemConfig,
                       case2_outage_given_phi, case2_outage_highsnr,
                       decoding_set_pmf, effective_gain, outage_highsnr,
                       outage_probability, snr_threshold, substream)
-from cogrelay.analytic import _expected_poisson_tail
-from oracles import average_over_phi
+from cogrelay import analytic
+from cogrelay.analytic import (SeriesNotConverged, _case1_bracket, _expected_poisson_tail,
+                               lower_incomplete_gamma)
+from oracles import average_over_phi, outage_highsnr_direct
 
 
 def _cfg(M=4, gamma_p=50.0, gamma_s=30.0, R=0.5, case="direct", zeta=0.5):
@@ -228,6 +231,83 @@ def test_highsnr_ratio_converges_to_one():
                 ratios.append(outage_probability(cfg).nu / outage_highsnr(cfg))
             assert 0.5 < ratios[-1] < 2.0, (case, M, ratios)
             assert abs(1.0 - ratios[0]) > abs(1.0 - ratios[-1])
+
+
+def test_highsnr_finite_up_to_m170():
+    # the plain-float sums gave inf from M = 60 at the first point, NaN at M = 170
+    for case in ("direct", "nodirect"):
+        for g, gs in ((1e3, 1e4), (1e8, 30.0)):
+            for M in range(2, 171):
+                hs = outage_highsnr(_cfg(M=M, gamma_p=g, gamma_s=gs, R=0.5, case=case))
+                assert math.isfinite(hs) and hs >= 0.0, (case, g, gs, M, hs)
+
+
+def test_highsnr_matches_plain_float_sum():
+    # wherever the plain products neither overflow nor underflow on the way
+    for case, zetas in (("direct", (0.5,)), ("nodirect", (0.1, 0.5, 0.9))):
+        for M in range(2, 41):
+            for g in (1.0, 10.0, 1e3, 1e5):
+                for gs in (1e-2, 0.5, 30.0, 1e4):
+                    for R in (0.0, 0.05, 0.5, 1.5):
+                        for zeta in zetas:
+                            cfg = _cfg(M=M, gamma_p=g, gamma_s=gs, R=R, case=case, zeta=zeta)
+                            ref = outage_highsnr_direct(cfg)
+                            if math.isfinite(ref):
+                                assert math.isclose(outage_highsnr(cfg), ref, rel_tol=1e-12), cfg
+
+
+def test_highsnr_vs_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+
+    def moment(n, gs):    # E[(1+phi)^n] as raw exponential moments
+        return mpmath.fsum(mpmath.factorial(n) / mpmath.factorial(n - j) * gs ** j
+                           for j in range(n + 1))
+
+    def thr(rate):
+        return mpmath.mpf(2) ** rate - 1
+
+    # (1e8, 1e4, 0.05) is where the plain-float sums lose their leading terms
+    for M, (g, gs, R) in itertools.product(
+            (3, 10, 40, 60, 100, 170),
+            ((1e3, 1e4, 0.5), (1e8, 30.0, 0.5), (1e8, 1e4, 0.05), (1.0, 1e-2, 1.5))):
+        with mpmath.workdps(50):
+            m, gs_mp, R_mp = M - 1, mpmath.mpf(gs), mpmath.mpf(R)
+            Q = thr(2 * R_mp) / g
+            ref1 = Q ** m * (m + mpmath.fsum(mpmath.binomial(m, K) * moment(K - 1, gs_mp)
+                                             / mpmath.factorial(K) for K in range(2, M)))
+            qb, qf = thr(R_mp / mpmath.mpf(0.1)) / g, thr(R_mp / mpmath.mpf(0.9)) / g
+            ref2 = m * qb ** (m - 1) + mpmath.fsum(
+                mpmath.binomial(m, K) * qb ** (m - K) * qf ** (K - 1)
+                * moment(K - 1, gs_mp) / mpmath.factorial(K - 1) for K in range(2, M))
+        for cfg, ref in ((_cfg(M=M, gamma_p=g, gamma_s=gs, R=R), ref1),
+                         (_cfg(M=M, gamma_p=g, gamma_s=gs, R=R, case="nodirect",
+                               zeta=0.1), ref2)):
+            if 1e-300 < ref < 1e300:
+                assert abs(outage_highsnr(cfg) - ref) <= 1e-12 * ref, (cfg, ref)
+
+
+# ------------------------------------------------------------------ series term caps
+
+def test_series_caps_raise_on_nan():
+    # each of these looped forever before the term cap
+    with pytest.raises(SeriesNotConverged):
+        lower_incomplete_gamma(3, math.nan)
+    with pytest.raises(SeriesNotConverged):
+        _expected_poisson_tail(3, math.nan, 30.0)
+    with pytest.raises(SeriesNotConverged):
+        case1_outage_given_phi(_cfg(), math.nan)
+
+
+def test_series_caps_raise_when_terms_run_out(monkeypatch):
+    monkeypatch.setattr(analytic, "_MAX_TERMS", 2)
+    with pytest.raises(SeriesNotConverged):
+        lower_incomplete_gamma(5, 4.0)
+    with pytest.raises(SeriesNotConverged):
+        _expected_poisson_tail(3, 0.01, 30.0)      # tail branch
+    with pytest.raises(SeriesNotConverged):
+        _case1_bracket(3, 0.5, 0.1)               # V(m, s) series
+    with pytest.raises(SeriesNotConverged):
+        _case1_bracket(30, 10.0, 0.0)             # positive tail from m = K-1
 
 
 # ------------------------------------------------------------------------- properties

@@ -112,6 +112,15 @@ def test_library_error_exits_3_without_traceback(tmp_path):
     assert proc.stderr.startswith("cogrelay: DegenerateFit") and proc.stderr.count("\n") == 1
 
 
+def test_series_cap_exits_3(tmp_path, monkeypatch, capsys):
+    from cogrelay import analytic
+    monkeypatch.setattr(analytic, "_MAX_TERMS", 1)   # no tail series can finish
+    code, _ = _run(tmp_path, "--experiment", "outage-curve", "--case", "nodirect")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cogrelay: SeriesNotConverged") and err.count("\n") == 1
+
+
 def test_outage_curve_at_former_quadrature_failures(tmp_path):
     # gamma_s = 1e4, R = 1.5 once raised QuadratureFailure near gamma_p = 1
     for M in ("3", "4", "6"):

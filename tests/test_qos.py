@@ -1,11 +1,17 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import cogrelay.qos
 from cogrelay import (InvalidCase, PrimaryInfeasible, SecondaryInfeasible,
                       SystemConfig, max_lambda_k, outage_probability,
                       search_zeta, secondary_success_prob,
                       secondary_throughput, solve_assignment)
+from oracles import search_zeta_exhaustive
 
 # the figure presets: users 2..M demand these rates, user 1 is the tagged one
 _TARGETS = (0.1, 0.2, 0.1, 0.15, 0.1)
@@ -109,6 +115,25 @@ def test_solve_assignment_all_idle():
     assert math.isclose(sol.lambda_k_max, f, rel_tol=1e-14)
 
 
+def test_solve_assignment_zero_demands_at_zero_success_prob():
+    # R/(1-zeta) = 75 bits: f underflows to 0, yet zero demands are still met
+    cfg = SystemConfig(M=2, gamma_p=50.0, gamma_s=30.0, R=1.5, case="nodirect",
+                       zeta=0.98)
+    assert secondary_success_prob(cfg) == 0.0
+    sol = solve_assignment(cfg, 0)
+    assert sol.feasible and sol.omega == (1.0, 0.0)
+    assert sol.slack == 0.0 and sol.lambda_k_max == 0.0
+
+
+def test_search_zeta_keeps_split_where_nu2_rounds_above_one():
+    cfg = SystemConfig(M=4, gamma_p=1.0, gamma_s=30.0, R=0.25326530612244896,
+                       case="nodirect")
+    first = replace(cfg, zeta=0.05)
+    out = outage_probability(first)
+    assert out.nu2 > 1.0 and out.nu == 1.0
+    assert search_zeta(cfg, 0, grid_size=19).zeta == 0.05
+
+
 def test_search_zeta_needs_split_slot_case():
     with pytest.raises(InvalidCase):
         search_zeta(_preset(5, 0.5, case="direct"), 0)
@@ -149,3 +174,54 @@ def test_search_zeta_validation():
         search_zeta(cfg, 0, grid_size=0)
     with pytest.raises(ValueError):
         search_zeta(cfg, 9)
+
+
+@st.composite
+def _zeta_scenarios(draw):
+    M = draw(st.integers(2, 8))
+    R = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.5)))
+    base = SystemConfig(M=M, gamma_p=10.0 ** draw(st.floats(0.0, 4.0)),
+                        gamma_s=10.0 ** draw(st.floats(-1.0, 4.0)), R=R, case="nodirect",
+                        lambda_p=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.95))))
+    grid_size = draw(st.sampled_from((1, 2, 49, 999)))
+    # total demand set against f at one grid point: at, just around, or past it
+    f_ref = secondary_success_prob(replace(
+        base, zeta=draw(st.integers(1, grid_size)) / (grid_size + 1)))
+    scale = draw(st.one_of(st.sampled_from((1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.05)),
+                           st.floats(0.0, 1.2)))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=M, max_size=M))
+    target = scale * f_ref
+    lam = [min(1.0, target * w / (sum(weights) or 1.0)) for w in weights[:-1]]
+    lam.append(min(1.0, max(0.0, target - math.fsum(lam))))
+    return (replace(base, lambda_s=tuple(lam)),
+            draw(st.integers(0, M - 1)), grid_size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_zeta_scenarios())
+# nu2 rounds to 1 + 2^-52 at the first split, where lambda_p = 0 is still met
+@example((SystemConfig(M=4, gamma_p=1.0, gamma_s=30.0, R=0.25326530612244896,
+                       case="nodirect"), 0, 19))
+# f underflows to 0 at the last splits while the demands are all 0
+@example((SystemConfig(M=2, gamma_p=50.0, gamma_s=30.0, R=1.5, case="nodirect"), 0, 49))
+def test_search_zeta_matches_exhaustive_scan(scenario):
+    cfg, k, grid_size = scenario
+    # repr compares every field exactly, with nan equal to nan
+    assert repr(search_zeta(cfg, k, grid_size)) == \
+        repr(search_zeta_exhaustive(cfg, k, grid_size))
+
+
+def test_search_zeta_fig2_rows_make_few_outage_calls(monkeypatch):
+    calls = []
+    real = cogrelay.qos.outage_probability
+
+    def counted(cfg):
+        calls.append(cfg.zeta)
+        return real(cfg)
+
+    monkeypatch.setattr(cogrelay.qos, "outage_probability", counted)
+    for M in (4, 5, 6):
+        for R in np.linspace(0.0, 1.5, 31):
+            search_zeta(_preset(M, float(R), case="nodirect"), 0)
+    # the exhaustive scan made 93 * 999 = 92,907 of them
+    assert len(calls) < 1000
