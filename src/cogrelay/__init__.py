@@ -8,46 +8,36 @@ validation, diversity-multiplexing tradeoff curves, and the QoS-feasible
 TDMA assignment, plus a CLI driver for the standard experiments.
 """
 from .analytic import (InvalidCase, OutageBreakdown, QuadratureFailure,
-                       SeriesNotConverged, case1_outage, case1_outage_given_phi,
-                       case1_outage_highsnr, case2_outage,
-                       case2_outage_given_phi, case2_outage_highsnr,
-                       lower_incomplete_gamma, outage_highsnr,
-                       outage_probability, upper_incomplete_gamma)
+                       SeriesNotConverged, case1_outage, case1_outage_highsnr,
+                       case2_outage, case2_outage_highsnr, outage_highsnr,
+                       outage_probability)
 from .beamform import (BeamformerResult, DegenerateChannel, effective_gain,
-                       optimal_weights, projection_matrix, received_sinr_pd)
-from .channel import (ChannelBlock, ChannelRealization, DecodingSet,
-                      decode_mask, decoding_probability, decoding_set_pmf,
-                      draw_realization, draw_realizations, form_decoding_set,
-                      substream)
+                       optimal_weights)
+from .channel import (ChannelBlock, decode_mask, decoding_set_pmf,
+                      draw_realizations, substream)
 from .config import Case, SystemConfig, snr_threshold
 from .dmt import (DegenerateFit, DiversitySource, DmtCurve, analytic_dmt,
                   empirical_diversity, max_diversity, multiplexing_limit)
 from .qos import (PrimaryInfeasible, QosSolution, SecondaryInfeasible,
                   max_lambda_k, search_zeta, secondary_success_prob,
-                  secondary_throughput, solve_assignment)
+                  solve_assignment)
 from .simulate import (BLOCK_SLOTS, OutageEstimate, OutageSimulation,
-                       ScheduleEstimate, SlotOutcome, estimate_outage,
-                       estimate_schedule_throughput, simulate_slot_case1,
-                       simulate_slot_case2)
+                       ScheduleEstimate, estimate_outage,
+                       estimate_schedule_throughput)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BLOCK_SLOTS", "BeamformerResult", "Case", "ChannelBlock",
-    "ChannelRealization", "DecodingSet", "DegenerateChannel", "DegenerateFit",
-    "DiversitySource", "DmtCurve", "InvalidCase", "OutageBreakdown",
-    "OutageEstimate", "OutageSimulation", "PrimaryInfeasible", "QosSolution",
-    "QuadratureFailure", "ScheduleEstimate", "SecondaryInfeasible",
-    "SeriesNotConverged", "SlotOutcome", "SystemConfig", "analytic_dmt",
-    "case1_outage", "case1_outage_given_phi", "case1_outage_highsnr",
-    "case2_outage", "case2_outage_given_phi", "case2_outage_highsnr",
-    "decode_mask", "decoding_probability", "decoding_set_pmf",
-    "draw_realization", "draw_realizations", "effective_gain",
-    "empirical_diversity", "estimate_outage", "estimate_schedule_throughput",
-    "form_decoding_set", "lower_incomplete_gamma", "max_diversity",
+    "DegenerateChannel", "DegenerateFit", "DiversitySource", "DmtCurve",
+    "InvalidCase", "OutageBreakdown", "OutageEstimate", "OutageSimulation",
+    "PrimaryInfeasible", "QosSolution", "QuadratureFailure", "ScheduleEstimate",
+    "SecondaryInfeasible", "SeriesNotConverged", "SystemConfig", "analytic_dmt",
+    "case1_outage", "case1_outage_highsnr", "case2_outage",
+    "case2_outage_highsnr", "decode_mask", "decoding_set_pmf",
+    "draw_realizations", "effective_gain", "empirical_diversity",
+    "estimate_outage", "estimate_schedule_throughput", "max_diversity",
     "max_lambda_k", "multiplexing_limit", "optimal_weights", "outage_highsnr",
-    "outage_probability", "projection_matrix", "received_sinr_pd",
-    "search_zeta", "secondary_success_prob", "secondary_throughput",
-    "simulate_slot_case1", "simulate_slot_case2", "snr_threshold",
-    "solve_assignment", "substream", "upper_incomplete_gamma",
+    "outage_probability", "search_zeta", "secondary_success_prob",
+    "snr_threshold", "solve_assignment", "substream",
 ]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import comb, exp, expm1, factorial, inf, lgamma, log
+from math import comb, exp, expm1, inf, lgamma, log
 
 import numpy as np
 from scipy import special
@@ -37,9 +37,6 @@ from .channel import decoding_set_pmf
 from .config import Case, SystemConfig, snr_threshold
 
 _log = logging.getLogger(__name__)
-
-# float64 factorial limit: 170! is finite, 171! overflows
-_MAX_ORDER = 170
 
 # term cap for every open-ended series below: over their reachable domain
 # none takes more than ~10^4 terms, so hitting it means a NaN or absurd input
@@ -76,66 +73,11 @@ class OutageBreakdown:
 def _breakdown(nu1: float, nu2: float) -> OutageBreakdown:
     nu1, nu2 = float(nu1), float(nu2)     # the pmf makes them numpy scalars
     total = nu1 + nu2
-    nu = min(max(total, 0.0), 1.0)
+    # each part, like their sum, can round a few ulp past 1
+    nu1, nu2, nu = (min(max(x, 0.0), 1.0) for x in (nu1, nu2, total))
     if nu != total:
         _log.debug("clipped nu1+nu2 = %r to %r", total, nu)
     return OutageBreakdown(nu1=nu1, nu2=nu2, nu=nu)
-
-
-# --- integer-order incomplete gamma functions ---------------------------
-
-
-def _check_order(n: int) -> int:
-    if n != int(n) or n < 1:
-        raise ValueError(f"order must be an integer >= 1, got {n}")
-    if n > _MAX_ORDER:
-        raise ValueError(f"order {n} exceeds float factorial range ({_MAX_ORDER})")
-    return int(n)
-
-
-def upper_incomplete_gamma(m_plus_1: int, s: float) -> float:
-    """U(n, s) = integral_s^inf R^(n-1) e^-R dR at integer order n = m_plus_1.
-
-    Exact finite form U(n, s) = e^-s * sum_{i<n} (n-1)!/i! s^i; every term
-    positive, so no cancellation at any (n, s).
-    """
-    n = _check_order(m_plus_1)
-    if s < 0:
-        raise ValueError(f"s must be nonnegative, got {s}")
-    # run the e^-s factor inside the terms so nothing overflows transiently
-    term = factorial(n - 1) * exp(-s) if s <= 700 else exp(lgamma(n) - s)
-    total = term
-    for i in range(1, n):
-        term *= s / i
-        total += term
-    return total
-
-
-def lower_incomplete_gamma(m_plus_1: int, s: float) -> float:
-    """L(n, s) = integral_0^s R^(n-1) e^-R dR, the complement of U(n, s).
-
-    For s < n+1 the complement (n-1)! - U(n, s) would cancel badly, so a
-    positive Kummer-type series is used instead:
-    L(n, s) = s^n e^-s sum_k s^k / (n (n+1) ... (n+k)).
-    """
-    n = _check_order(m_plus_1)
-    if s < 0:
-        raise ValueError(f"s must be nonnegative, got {s}")
-    if s == 0.0:
-        return 0.0
-    if s >= n + 1:
-        # U is at most ~half the full Gamma here; at worst one bit cancels
-        return factorial(n - 1) - upper_incomplete_gamma(n, s)
-    prefactor = exp(n * log(s) - s)
-    term = 1.0 / n
-    total = term
-    for k in range(n + 1, n + 1 + _MAX_TERMS):
-        term *= s / k
-        total += term
-        if term <= 1e-17 * total:
-            return prefactor * total
-    else:
-        raise _cap_reached("lower_incomplete_gamma")
 
 
 def poisson_tail(n: int, x: float) -> float:
@@ -254,77 +196,6 @@ def _nu_small_k(cfg: SystemConfig, pmf) -> float:
     return p_lt2
 
 
-def _case1_bracket(K: int, Q: float, phi: float) -> float:
-    """Pr{direct < Q and Gamma(K-1,1) < (Q - direct)(1+phi)} for direct ~ Exp(1).
-
-    Expanding the Gamma CDF termwise gives
-        bracket = sum_{m >= K-1} W_m,
-        W_m = e^-Q Q (X^m/m!) V(m, s),  X = Q(1+phi),  s = Q*phi,
-    with V(m, s) = integral_0^1 u^m e^-su du.  Each W_m also regroups as
-        W_m = (e^-Q/phi) ((1+phi)/phi)^m Pr{Poisson(s) >= m+1},
-    which is the stable factorization once s >= m+2.  The complement
-    Lbar - sum_{m <= K-2} W_m is preferred whenever it keeps at least half
-    of Lbar = 1 - e^-Q (no meaningful cancellation there).
-    """
-    if Q <= 0.0:
-        return 0.0
-    lbar = -expm1(-Q)
-
-    def term(m: int, u_m: float) -> float:
-        s = Q * phi
-        if s >= m + 2:
-            # log form keeps e^-Q * ((1+phi)/phi)^m overflow-free jointly
-            scale = exp(-Q + m * log(1.0 + 1.0 / phi) - log(phi))
-            return scale * poisson_tail(m + 1, s)
-        # V(m, s) by its positive series: e^-s/(m+1) * (1 + s/(m+2) + ...)
-        v = 1.0 / (m + 1)
-        total_v = v
-        for i in range(m + 2, m + 2 + _MAX_TERMS):
-            v *= s / i
-            total_v += v
-            if v <= 1e-17 * total_v:
-                return u_m * exp(-s) * total_v
-        else:
-            raise _cap_reached("_case1_bracket")
-
-    # U_m = e^-Q Q X^m / m!, tracked multiplicatively for the series branch
-    X = Q * (1.0 + phi)
-    u_m = exp(-Q) * Q
-    partial = 0.0
-    for m in range(K - 1):
-        partial += term(m, u_m)
-        u_m *= X / (m + 1)
-    complement = lbar - partial
-    if complement >= 0.5 * lbar:
-        return max(complement, 0.0)
-
-    # positive tail from m = K-1; terms decay once X/(m+1) < 1
-    acc = 0.0
-    u_m = exp(-Q + (K - 1) * log(X) + log(Q) - lgamma(K))
-    for m in range(K - 1, K - 1 + _MAX_TERMS):
-        acc += term(m, u_m)
-        u_m *= X / (m + 1)
-        rho = X / (m + 2)
-        if rho < 1.0 and u_m / (m + 2) <= (1.0 - rho) * 1e-16 * acc:
-            return acc
-    else:
-        raise _cap_reached("_case1_bracket")
-
-
-def _case1_nu1_given_phi(cfg: SystemConfig, phi: float) -> float:
-    Q = _threshold_q(cfg)
-    pmf = decoding_set_pmf(cfg)
-    return sum(pmf[K] * _case1_bracket(K, Q, phi) for K in range(2, cfg.M))
-
-
-def case1_outage_given_phi(cfg: SystemConfig, phi: float) -> OutageBreakdown:
-    """Outage probabilities conditioned on the interference level phi."""
-    if cfg.case is not Case.DIRECT_LINK:
-        raise InvalidCase("case1_outage_given_phi needs cfg.case = DIRECT_LINK")
-    pmf = decoding_set_pmf(cfg)
-    return _breakdown(_case1_nu1_given_phi(cfg, phi), _nu_small_k(cfg, pmf))
-
-
 def _case1_h(n: int, a: float, b: float) -> list:
     """h with h[k] = 2F1(1, k; n+2; a) for k = 0..n, where 0 <= a <= 1, b = 1 - a.
 
@@ -432,16 +303,6 @@ def case1_outage_highsnr(cfg: SystemConfig) -> float:
 
 
 # --- case 2: no direct link ----------------------------------------------
-
-
-def case2_outage_given_phi(cfg: SystemConfig, phi: float) -> OutageBreakdown:
-    """Outage probabilities without a direct link, conditioned on phi."""
-    if cfg.case is not Case.NO_DIRECT_LINK:
-        raise InvalidCase("case2_outage_given_phi needs cfg.case = NO_DIRECT_LINK")
-    x_zeta = snr_threshold(cfg.forward_rate()) * (1.0 + phi) / cfg.gamma_p
-    pmf = decoding_set_pmf(cfg)
-    nu1 = sum(pmf[K] * poisson_tail(K - 1, x_zeta) for K in range(2, cfg.M))
-    return _breakdown(nu1, _nu_small_k(cfg, pmf))
 
 
 def case2_outage(cfg: SystemConfig) -> OutageBreakdown:

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SystemConfig
-
 # squared-norm floor; below this a channel vector counts as numerically null
 _DEGENERACY_FLOOR = 1e-30
 
@@ -42,19 +40,6 @@ def _project_out(h_sd: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x - h_sd * (np.vdot(h_sd, x) / b2)
 
 
-def projection_matrix(h_sd: np.ndarray) -> np.ndarray:
-    """Orthogonal projector Psi = I - h_sd h_sd'/||h_sd||^2 (Hermitian, idempotent).
-
-    Materialized K x K form, mainly for verification; the solver itself uses
-    the O(K) rank-1 update.
-    """
-    h_sd = np.asarray(h_sd, dtype=complex)
-    b2 = float(np.real(np.vdot(h_sd, h_sd)))
-    if b2 < _DEGENERACY_FLOOR:
-        raise DegenerateChannel(f"||h_sd||^2 = {b2:.3e} below degeneracy floor")
-    return np.eye(len(h_sd), dtype=complex) - np.outer(h_sd, h_sd.conj()) / b2
-
-
 def optimal_weights(h_pd: np.ndarray, h_sd: np.ndarray) -> BeamformerResult:
     """g* = Psi h_pd / ||Psi h_pd|| and the achieved gain/leakage.
 
@@ -72,16 +57,6 @@ def optimal_weights(h_pd: np.ndarray, h_sd: np.ndarray) -> BeamformerResult:
     g = proj / np.sqrt(alpha)
     leakage = float(np.abs(np.vdot(g, h_sd)) ** 2)
     return BeamformerResult(g=g, alpha=alpha, leakage=leakage)
-
-
-def received_sinr_pd(result: BeamformerResult, cfg: SystemConfig, alpha_v_pd: float) -> float:
-    """Beamformed-branch SINR at the primary destination.
-
-    alpha_v_pd is the squared source->pd channel gain |h_v_pd|^2; the
-    scheduled secondary's transmission is the only interference left after
-    zero-forcing: SINR = alpha*gamma_p / (1 + gamma_s*alpha_v_pd).
-    """
-    return result.alpha * cfg.gamma_p / (1.0 + cfg.gamma_s * alpha_v_pd)
 
 
 def effective_gain(h_pd: np.ndarray, h_sd: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ are always indices 0..M-2 of a fresh draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, exp
+from math import comb, exp, expm1
 
 import numpy as np
 
@@ -26,27 +26,15 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
-    """Channels of a single slot, from the scheduled secondary source's view."""
-
-    h_p_pd: complex               # primary tx -> primary destination (0 when no direct link)
-    h_p_relay: np.ndarray         # primary tx -> each candidate relay, shape (M-1,)
-    h_relay_pd: np.ndarray        # each relay -> primary destination, shape (M-1,)
-    h_relay_sd: np.ndarray        # each relay -> secondary destination, shape (M-1,)
-    h_v_pd: complex               # secondary source -> primary destination (interference path)
-    h_v_sd: complex               # secondary source -> its own destination
-
-
-@dataclass(frozen=True)
 class ChannelBlock:
-    """A batch of n slots; same fields as ChannelRealization plus a leading axis."""
+    """Channels of n slots, from each slot's scheduled secondary source's view."""
 
-    h_p_pd: np.ndarray            # (n,)
-    h_p_relay: np.ndarray         # (n, M-1)
-    h_relay_pd: np.ndarray        # (n, M-1)
-    h_relay_sd: np.ndarray        # (n, M-1)
-    h_v_pd: np.ndarray            # (n,)
-    h_v_sd: np.ndarray            # (n,)
+    h_p_pd: np.ndarray            # (n,) primary tx -> primary destination (0 when no direct link)
+    h_p_relay: np.ndarray         # (n, M-1) primary tx -> each candidate relay
+    h_relay_pd: np.ndarray        # (n, M-1) each relay -> primary destination
+    h_relay_sd: np.ndarray        # (n, M-1) each relay -> secondary destination
+    h_v_pd: np.ndarray            # (n,) secondary source -> primary destination (interference path)
+    h_v_sd: np.ndarray            # (n,) secondary source -> its own destination
 
     def __len__(self) -> int:
         return self.h_p_pd.shape[0]
@@ -56,8 +44,8 @@ def draw_realizations(cfg: SystemConfig, n: int, rng: np.random.Generator) -> Ch
     """Draw n independent slots.
 
     The 3M complex links of a slot fill one contiguous row of a single
-    normal draw, so a batch of n is bit-identical to n consecutive
-    single-slot draws from the same stream.
+    normal draw, so a batch of n is bit-identical to n consecutive draws of
+    one slot each from the same stream; a single slot is n = 1.
     """
     m = cfg.M - 1
     z = rng.standard_normal((n, 3 * cfg.M, 2))
@@ -75,51 +63,26 @@ def draw_realizations(cfg: SystemConfig, n: int, rng: np.random.Generator) -> Ch
     )
 
 
-def draw_realization(cfg: SystemConfig, rng_stream: np.random.Generator) -> ChannelRealization:
-    """Draw a single slot (consumes exactly one row of the batched layout)."""
-    b = draw_realizations(cfg, 1, rng_stream)
-    return ChannelRealization(
-        h_p_pd=complex(b.h_p_pd[0]),
-        h_p_relay=b.h_p_relay[0],
-        h_relay_pd=b.h_relay_pd[0],
-        h_relay_sd=b.h_relay_sd[0],
-        h_v_pd=complex(b.h_v_pd[0]),
-        h_v_sd=complex(b.h_v_sd[0]),
-    )
-
-
 # --- decoding set ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecodingSet:
-    members: np.ndarray           # sorted relay indices (0..M-2) that decoded
-    K: int
-
-    def __post_init__(self):
-        assert self.K == len(self.members)
-
-
-def decoding_probability(R_tx: float, gamma_p: float) -> float:
-    """P(one relay decodes a rate-R_tx broadcast) = exp(-(2^R_tx - 1)/gamma_p)."""
-    return exp(-snr_threshold(R_tx) / gamma_p)
-
-
-def form_decoding_set(cfg: SystemConfig, ch: ChannelRealization, R_tx: float) -> DecodingSet:
-    """Relay k decodes iff log2(1 + gamma_p|h_p_relay[k]|^2) >= R_tx (success at equality)."""
-    ok = cfg.gamma_p * np.abs(ch.h_p_relay) ** 2 >= snr_threshold(R_tx)
-    members = np.flatnonzero(ok)
-    return DecodingSet(members=members, K=len(members))
-
-
 def decode_mask(cfg: SystemConfig, block: ChannelBlock) -> np.ndarray:
-    """Boolean (n, M-1): which relays decode the broadcast at the case's rate."""
+    """Boolean (n, M-1): which relays decode the broadcast at the case's rate.
+
+    Relay k decodes iff gamma_p |h_p_relay[k]|^2 >= 2^rate - 1 (success at
+    equality).
+    """
     thr = snr_threshold(cfg.broadcast_rate())
     return cfg.gamma_p * np.abs(block.h_p_relay) ** 2 >= thr
 
 
 def decoding_set_pmf(cfg: SystemConfig) -> np.ndarray:
-    """pmf of K = |decoding set| over 0..M-1: Binomial(M-1, L) at the case's rate."""
-    L = decoding_probability(cfg.broadcast_rate(), cfg.gamma_p)
+    """pmf of K = |decoding set| over 0..M-1: Binomial(M-1, L) at the case's rate.
+
+    A relay decodes w.p. L = e^-q, q = (2^rate - 1)/gamma_p, and fails w.p.
+    -expm1(-q): 1 - L loses all relative precision as q -> 0.
+    """
+    q = snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p
+    L, L_bar = exp(-q), -expm1(-q)
     m = cfg.M - 1
-    return np.array([comb(m, K) * L**K * (1.0 - L) ** (m - K) for K in range(cfg.M)])
+    return np.array([comb(m, K) * L**K * L_bar ** (m - K) for K in range(cfg.M)])

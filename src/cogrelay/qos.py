@@ -40,13 +40,6 @@ def secondary_success_prob(cfg: SystemConfig) -> float:
     return exp(-snr_threshold(cfg.secondary_rate()) / cfg.gamma_s)
 
 
-def secondary_throughput(cfg: SystemConfig, omega_j: float) -> float:
-    """Long-run packet rate of a user scheduled a fraction omega_j of slots."""
-    if not 0.0 <= omega_j <= 1.0:
-        raise ValueError("omega_j must lie in [0, 1]")
-    return omega_j * secondary_success_prob(cfg)
-
-
 def _check_k(cfg: SystemConfig, k: int) -> int:
     k = int(k)
     if not 0 <= k < cfg.M:

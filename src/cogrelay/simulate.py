@@ -13,7 +13,6 @@ from math import sqrt
 
 import numpy as np
 
-from .analytic import InvalidCase
 from .beamform import effective_gain
 from .channel import ChannelBlock, decode_mask, draw_realizations, substream
 from .config import Case, SystemConfig, snr_threshold
@@ -26,13 +25,6 @@ class OutageEstimate:
     p_hat: float
     stderr: float       # sqrt(p_hat (1-p_hat) / trials)
     trials: int
-
-
-@dataclass(frozen=True)
-class SlotOutcome:
-    K: int
-    primary_ok: bool
-    secondary_ok: bool
 
 
 @dataclass(frozen=True)
@@ -72,27 +64,6 @@ def _slot_events(cfg: SystemConfig, block: ChannelBlock):
     thr_s = snr_threshold(cfg.secondary_rate())
     secondary_ok = cfg.gamma_s * np.abs(block.h_v_sd) ** 2 >= thr_s
     return primary_ok, secondary_ok, k
-
-
-def _simulate_slot(cfg: SystemConfig, rng_stream: np.random.Generator) -> SlotOutcome:
-    block = draw_realizations(cfg, 1, rng_stream)
-    primary_ok, secondary_ok, k = _slot_events(cfg, block)
-    return SlotOutcome(K=int(k[0]), primary_ok=bool(primary_ok[0]),
-                       secondary_ok=bool(secondary_ok[0]))
-
-
-def simulate_slot_case1(cfg: SystemConfig, rng_stream: np.random.Generator) -> SlotOutcome:
-    """One slot with a direct link: broadcast at 2R, then ZF relaying + MRC."""
-    if cfg.case is not Case.DIRECT_LINK:
-        raise InvalidCase("simulate_slot_case1 needs cfg.case = DIRECT_LINK")
-    return _simulate_slot(cfg, rng_stream)
-
-
-def simulate_slot_case2(cfg: SystemConfig, rng_stream: np.random.Generator) -> SlotOutcome:
-    """One slot without a direct link: broadcast at R/zeta, forward at R/(1-zeta)."""
-    if cfg.case is not Case.NO_DIRECT_LINK:
-        raise InvalidCase("simulate_slot_case2 needs cfg.case = NO_DIRECT_LINK")
-    return _simulate_slot(cfg, rng_stream)
 
 
 def _blocks(trials: int):

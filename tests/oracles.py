@@ -1,16 +1,26 @@
 """Reference implementations shared by the tests; the library has none of them.
 
 `average_over_phi` is the adaptive quadrature the closed forms are checked
-against, `search_zeta_exhaustive` the full grid scan behind `search_zeta`, and
-`outage_highsnr_direct` the high-SNR asymptotes summed in plain floats.
+against, and `case1_outage_given_phi` / `case2_outage_given_phi` the
+phi-conditional outages it averages.  `outage_mp` builds nu from the model's
+laws in high-precision finite sums, sharing no code with the closed forms.
+`search_zeta_exhaustive` is the full grid scan behind `search_zeta`,
+`outage_highsnr_direct` the high-SNR asymptotes summed in plain floats, and
+`projection_matrix` the K x K projector the beamformer applies in rank-1 form.
 """
 from dataclasses import replace
-from math import comb, exp, factorial, nan
+from math import comb, exp, expm1, factorial, lgamma, log, nan
 from typing import Callable
 
+import mpmath
+import numpy as np
 from scipy import integrate
 
-from cogrelay.analytic import InvalidCase, QuadratureFailure, _threshold_q
+from cogrelay.analytic import (_MAX_TERMS, InvalidCase, OutageBreakdown,
+                               QuadratureFailure, _breakdown, _cap_reached,
+                               _nu_small_k, _threshold_q, poisson_tail)
+from cogrelay.beamform import _DEGENERACY_FLOOR, DegenerateChannel
+from cogrelay.channel import decoding_set_pmf
 from cogrelay.config import Case, SystemConfig, snr_threshold
 from cogrelay.qos import (PrimaryInfeasible, QosSolution, SecondaryInfeasible,
                           _check_k, solve_assignment)
@@ -38,6 +48,100 @@ def average_over_phi(fn: Callable[[float], float], gamma_s: float,
         T *= 2.0
     raise QuadratureFailure(
         f"phi-average did not converge to rel_tol={rel_tol} by T={T / 2}")
+
+
+def _case1_bracket(K: int, Q: float, phi: float) -> float:
+    """Pr{direct < Q and Gamma(K-1,1) < (Q - direct)(1+phi)} for direct ~ Exp(1).
+
+    Expanding the Gamma CDF termwise gives
+        bracket = sum_{m >= K-1} W_m,
+        W_m = e^-Q Q (X^m/m!) V(m, s),  X = Q(1+phi),  s = Q*phi,
+    with V(m, s) = integral_0^1 u^m e^-su du.  Each W_m also regroups as
+        W_m = (e^-Q/phi) ((1+phi)/phi)^m Pr{Poisson(s) >= m+1},
+    which is the stable factorization once s >= m+2.  The complement
+    Lbar - sum_{m <= K-2} W_m is preferred whenever it keeps at least half
+    of Lbar = 1 - e^-Q (no meaningful cancellation there).
+    """
+    if Q <= 0.0:
+        return 0.0
+    lbar = -expm1(-Q)
+
+    def term(m: int, u_m: float) -> float:
+        s = Q * phi
+        if s >= m + 2:
+            # log form keeps e^-Q * ((1+phi)/phi)^m overflow-free jointly
+            scale = exp(-Q + m * log(1.0 + 1.0 / phi) - log(phi))
+            return scale * poisson_tail(m + 1, s)
+        # V(m, s) by its positive series: e^-s/(m+1) * (1 + s/(m+2) + ...)
+        v = 1.0 / (m + 1)
+        total_v = v
+        for i in range(m + 2, m + 2 + _MAX_TERMS):
+            v *= s / i
+            total_v += v
+            if v <= 1e-17 * total_v:
+                return u_m * exp(-s) * total_v
+        else:
+            raise _cap_reached("_case1_bracket")
+
+    # U_m = e^-Q Q X^m / m!, tracked multiplicatively for the series branch
+    X = Q * (1.0 + phi)
+    u_m = exp(-Q) * Q
+    partial = 0.0
+    for m in range(K - 1):
+        partial += term(m, u_m)
+        u_m *= X / (m + 1)
+    complement = lbar - partial
+    if complement >= 0.5 * lbar:
+        return max(complement, 0.0)
+
+    # positive tail from m = K-1; terms decay once X/(m+1) < 1
+    acc = 0.0
+    u_m = exp(-Q + (K - 1) * log(X) + log(Q) - lgamma(K))
+    for m in range(K - 1, K - 1 + _MAX_TERMS):
+        acc += term(m, u_m)
+        u_m *= X / (m + 1)
+        rho = X / (m + 2)
+        if rho < 1.0 and u_m / (m + 2) <= (1.0 - rho) * 1e-16 * acc:
+            return acc
+    else:
+        raise _cap_reached("_case1_bracket")
+
+
+def _case1_nu1_given_phi(cfg: SystemConfig, phi: float) -> float:
+    Q = _threshold_q(cfg)
+    pmf = decoding_set_pmf(cfg)
+    return sum(pmf[K] * _case1_bracket(K, Q, phi) for K in range(2, cfg.M))
+
+
+def case1_outage_given_phi(cfg: SystemConfig, phi: float) -> OutageBreakdown:
+    """Outage probabilities conditioned on the interference level phi."""
+    if cfg.case is not Case.DIRECT_LINK:
+        raise InvalidCase("case1_outage_given_phi needs cfg.case = DIRECT_LINK")
+    pmf = decoding_set_pmf(cfg)
+    return _breakdown(_case1_nu1_given_phi(cfg, phi), _nu_small_k(cfg, pmf))
+
+
+def case2_outage_given_phi(cfg: SystemConfig, phi: float) -> OutageBreakdown:
+    """Outage probabilities without a direct link, conditioned on phi."""
+    if cfg.case is not Case.NO_DIRECT_LINK:
+        raise InvalidCase("case2_outage_given_phi needs cfg.case = NO_DIRECT_LINK")
+    x_zeta = snr_threshold(cfg.forward_rate()) * (1.0 + phi) / cfg.gamma_p
+    pmf = decoding_set_pmf(cfg)
+    nu1 = sum(pmf[K] * poisson_tail(K - 1, x_zeta) for K in range(2, cfg.M))
+    return _breakdown(nu1, _nu_small_k(cfg, pmf))
+
+
+def projection_matrix(h_sd: np.ndarray) -> np.ndarray:
+    """Orthogonal projector Psi = I - h_sd h_sd'/||h_sd||^2 (Hermitian, idempotent).
+
+    Materialized K x K form, mainly for verification; the solver itself uses
+    the O(K) rank-1 update.
+    """
+    h_sd = np.asarray(h_sd, dtype=complex)
+    b2 = float(np.real(np.vdot(h_sd, h_sd)))
+    if b2 < _DEGENERACY_FLOOR:
+        raise DegenerateChannel(f"||h_sd||^2 = {b2:.3e} below degeneracy floor")
+    return np.eye(len(h_sd), dtype=complex) - np.outer(h_sd, h_sd.conj()) / b2
 
 
 def search_zeta_exhaustive(cfg: SystemConfig, k: int, grid_size: int = 999) -> QosSolution:
@@ -107,3 +211,74 @@ def outage_highsnr_direct(cfg: SystemConfig) -> float:
             / factorial(K - 1)
         )
     return total
+
+
+
+def _nu_mp(cfg: SystemConfig):
+    """nu of either case as an mpf, at the caller's working precision."""
+    mp = mpmath.mp
+    M, gs = cfg.M, mp.mpf(cfg.gamma_s)
+    R, zeta = mp.mpf(cfg.R), mp.mpf(cfg.zeta)
+
+    def threshold(rate):                         # (2^rate - 1)/gamma_p
+        return mp.expm1(rate * mp.ln2) / cfg.gamma_p
+
+    if cfg.case is Case.DIRECT_LINK:
+        q_b = q_f = threshold(2 * R)
+    else:
+        q_b, q_f = threshold(R / zeta), threshold(R / (1 - zeta))
+    # a relay decodes w.p. L = e^-q_b, so K ~ Binomial(M-1, L)
+    L, L_bar = mp.exp(-q_b), -mp.expm1(-q_b)
+    pmf = [mp.binomial(M - 1, K) * L**K * L_bar ** (M - 1 - K) for K in range(M)]
+    # With K >= 2 relays the ZF gain is G ~ Gamma(n, 1), n = K - 1, and the
+    # relayed SNR is gamma_p G/(1+phi), phi ~ Exp(mean gs).  Both cases give
+    # Pr{outage | K} = base - sum_{i<n} c[i].
+    if cfg.case is Case.NO_DIRECT_LINK:
+        # Pr{G < q(1+phi)} = 1 - sum_{i<n} E[e^{-q(1+phi)} (q(1+phi))^i]/i!,
+        # with E[(1+phi)^i e^{-q phi}] = sum_j C(i,j) j! gs^j/(1+q gs)^{j+1}
+        q = q_f
+        base, nu2 = mp.mpf(1), pmf[0] + pmf[1]
+        c = [mp.exp(-q) * q**i / mp.factorial(i)
+             * mp.fsum(mp.binomial(i, j) * mp.factorial(j) * gs**j / (1 + q * gs) ** (j + 1)
+                       for j in range(i + 1))
+             for i in range(M - 2)]
+    else:
+        # The direct branch D ~ Exp(1) adds: Pr{D + G/(1+phi) < Q} averages
+        # the case-2 form at q = v = Q - D over D in [0, Q], which leaves
+        # e^-Q sum_j gs^j/(i-j)! int_0^Q v^i (1+gs v)^-(j+1) dv for c[i]; with
+        # w = 1 + gs v that integral is
+        # gs^-(i+1) sum_l C(i,l) (-1)^(i-l) int_1^(1+gs Q) w^(l-j-1) dw.
+        Q = q_f
+        W = 1 + gs * Q
+        base = -mp.expm1(-Q)
+        nu2 = (pmf[0] + pmf[1]) * base
+
+        # int_1^W w^(p-1) dw for every exponent p = l - j that occurs
+        w_int = {p: mp.log(W) if p == 0 else (W**p - 1) / p for p in range(3 - M, M - 2)}
+        c = []
+        for i in range(M - 2):
+            signed = [mp.binomial(i, l) * (-1) ** (i - l) for l in range(i + 1)]
+            v_int = [mp.fsum(b * w_int[l - j] for l, b in enumerate(signed)) / gs ** (i + 1)
+                     for j in range(i + 1)]
+            c.append(mp.exp(-Q) * mp.fsum(gs**j / mp.factorial(i - j) * v_int[j]
+                                          for j in range(i + 1)))
+    return mp.fsum(pmf[K] * (base - mp.fsum(c[:K - 1])) for K in range(2, M)) + nu2
+
+
+def outage_mp(cfg: SystemConfig) -> float:
+    """Primary outage nu of either case, from the model's laws in mpmath.
+
+    Shares no code with `cogrelay.analytic` or `cogrelay.channel`, and uses
+    only finite sums (see `_nu_mp`): no quadrature, no series truncation.
+    Deep in the tail those sums cancel by hundreds of digits (nu ~ 1e-291
+    out of terms of order 1 at M = 40, gamma_p = 1e8), so the working
+    precision doubles from 50 digits until two successive results agree to
+    30 digits.
+    """
+    dps, prev = 50, None
+    while True:
+        with mpmath.workdps(dps):
+            nu = _nu_mp(cfg)
+        if prev is not None and abs(nu - prev) <= mpmath.mpf(10) ** -30 * abs(nu):
+            return float(nu)
+        dps, prev = 2 * dps, nu

@@ -9,14 +9,13 @@ import math
 import numpy as np
 from scipy import stats
 
-from cogrelay import (SystemConfig, case2_outage,
-                      case2_outage_given_phi, effective_gain,
+from cogrelay import (SystemConfig, case2_outage, effective_gain,
                       empirical_diversity, estimate_outage,
                       estimate_schedule_throughput, optimal_weights,
-                      outage_highsnr, outage_probability, projection_matrix,
+                      outage_highsnr, outage_probability,
                       secondary_success_prob, solve_assignment, substream)
 from cogrelay.cli import ExperimentSpec, run_experiment
-from oracles import average_over_phi
+from oracles import average_over_phi, case2_outage_given_phi, projection_matrix
 
 MC_TRIALS = 1_000_000
 SEED_CASE1 = 1000

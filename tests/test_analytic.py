@@ -7,21 +7,24 @@ Carlo with fixed seeds.  No expected value is copied out of the library.
 """
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
-from cogrelay import (Case, InvalidCase, SystemConfig,
-                      case1_outage, case1_outage_given_phi,
+import oracles
+from cogrelay import (Case, InvalidCase, SystemConfig, case1_outage,
                       case1_outage_highsnr, case2_outage,
-                      case2_outage_given_phi, case2_outage_highsnr,
-                      decoding_set_pmf, effective_gain, outage_highsnr,
-                      outage_probability, snr_threshold, substream)
+                      case2_outage_highsnr, decoding_set_pmf, effective_gain,
+                      outage_highsnr, outage_probability, snr_threshold,
+                      substream)
 from cogrelay import analytic
-from cogrelay.analytic import (SeriesNotConverged, _case1_bracket, _expected_poisson_tail,
-                               lower_incomplete_gamma)
-from oracles import average_over_phi, outage_highsnr_direct
+from cogrelay.analytic import SeriesNotConverged, _expected_poisson_tail
+from oracles import (_case1_bracket, average_over_phi, case1_outage_given_phi,
+                     case2_outage_given_phi, outage_highsnr_direct, outage_mp)
 
 
 def _cfg(M=4, gamma_p=50.0, gamma_s=30.0, R=0.5, case="direct", zeta=0.5):
@@ -286,12 +289,29 @@ def test_highsnr_vs_mpmath():
                 assert abs(outage_highsnr(cfg) - ref) <= 1e-12 * ref, (cfg, ref)
 
 
+# ------------------------------------------------------- independent mpmath oracle
+
+def test_closed_forms_match_mpmath_oracle():
+    # outage_mp shares no code with analytic.py or channel.py; with the
+    # decoding-set pmf's failure probability taken as 1 - L, nu was off by
+    # up to 4.4e-8 relative at gamma_p = 1e8
+    checked = 0
+    for case, M, g, gs, R in itertools.product(("direct", "nodirect"), (3, 6, 10, 40),
+                                               (1e2, 1e4, 1e8), (1e-2, 30.0, 1e4),
+                                               (0.05, 0.5)):
+        cfg = _cfg(M=M, gamma_p=g, gamma_s=gs, R=R, case=case, zeta=0.5)
+        ref = outage_mp(cfg)
+        if ref > 1e-300:              # a few M = 40 points leave the normal range
+            got = outage_probability(cfg).nu
+            assert abs(got - ref) <= 1e-12 * ref, (cfg, got, ref)
+            checked += 1
+    assert checked >= 140, checked
+
+
 # ------------------------------------------------------------------ series term caps
 
 def test_series_caps_raise_on_nan():
     # each of these looped forever before the term cap
-    with pytest.raises(SeriesNotConverged):
-        lower_incomplete_gamma(3, math.nan)
     with pytest.raises(SeriesNotConverged):
         _expected_poisson_tail(3, math.nan, 30.0)
     with pytest.raises(SeriesNotConverged):
@@ -300,8 +320,7 @@ def test_series_caps_raise_on_nan():
 
 def test_series_caps_raise_when_terms_run_out(monkeypatch):
     monkeypatch.setattr(analytic, "_MAX_TERMS", 2)
-    with pytest.raises(SeriesNotConverged):
-        lower_incomplete_gamma(5, 4.0)
+    monkeypatch.setattr(oracles, "_MAX_TERMS", 2)
     with pytest.raises(SeriesNotConverged):
         _expected_poisson_tail(3, 0.01, 30.0)      # tail branch
     with pytest.raises(SeriesNotConverged):
@@ -318,6 +337,22 @@ def test_monotone_in_rate_and_snr():
     nus = [outage_probability(_cfg(M=4, gamma_p=g, case="nodirect")).nu
            for g in (5.0, 20.0, 80.0, 320.0)]
     assert all(a > b for a, b in zip(nus, nus[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=st.integers(2, 12), gamma_p=st.floats(0.1, 1e8), gamma_s=st.floats(1e-2, 1e4),
+       R=st.floats(0.0, 2.0), zeta=st.floats(0.05, 0.95),
+       case=st.sampled_from(("direct", "nodirect")))
+# nu2 rounded to 1.0000000000000002 here before nu1 and nu2 were clipped
+@example(M=5, gamma_p=36.01, gamma_s=0.04455, R=1.615, zeta=0.1563, case="nodirect")
+def test_outage_parts_lie_in_unit_interval_and_fall_with_snr(M, gamma_p, gamma_s, R,
+                                                             zeta, case):
+    cfg = _cfg(M=M, gamma_p=gamma_p, gamma_s=gamma_s, R=R, case=case, zeta=zeta)
+    b = outage_probability(cfg)
+    assert all(0.0 <= x <= 1.0 for x in (b.nu1, b.nu2, b.nu)), b
+    # doubling gamma_p at fixed R and zeta never raises nu beyond rounding
+    doubled = outage_probability(replace(cfg, gamma_p=2.0 * gamma_p)).nu
+    assert doubled <= b.nu * (1.0 + 1e-15), (b.nu, doubled)
 
 
 def test_breakdown_consistency():

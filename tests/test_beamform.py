@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cogrelay import (BeamformerResult, DegenerateChannel, SystemConfig,
-                      effective_gain, optimal_weights, projection_matrix,
-                      received_sinr_pd, substream)
+from cogrelay import (BeamformerResult, DegenerateChannel, effective_gain,
+                      optimal_weights, substream)
+from oracles import projection_matrix
 
 
 def _draw(rng, k):
@@ -75,14 +75,6 @@ def test_degenerate_channels_raise():
     h = np.array([1.0 + 1j, 2.0 - 0.5j])
     with pytest.raises(DegenerateChannel):
         optimal_weights(2.0 * h, h)  # parallel: nothing survives the projection
-
-
-def test_received_sinr_pd():
-    cfg = SystemConfig(M=4, gamma_p=50.0, gamma_s=30.0, R=0.5)
-    res = optimal_weights(np.array([3.0 + 0j, 4.0]), np.array([1.0 + 0j, 0.0]))
-    # alpha=16: beamformed power 16*50 over noise-plus-interference 1 + 30*0.2
-    got = received_sinr_pd(res, cfg, alpha_v_pd=0.2)
-    assert math.isclose(got, 16.0 * 50.0 / (1.0 + 30.0 * 0.2), rel_tol=1e-14)
 
 
 def test_effective_gain_matches_scalar_path():

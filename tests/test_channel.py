@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cogrelay import (Case, SystemConfig, decode_mask, decoding_probability,
-                      decoding_set_pmf, draw_realization, draw_realizations,
-                      form_decoding_set, substream)
+from cogrelay import (Case, SystemConfig, decode_mask, decoding_set_pmf,
+                      draw_realizations, snr_threshold, substream)
 
 
 def _cfg(case="direct", M=4, R=0.5):
@@ -60,51 +59,46 @@ def test_no_direct_link_zeroes_only_the_direct_channel():
 
 
 def test_single_draw_matches_block_head():
+    # a single slot is a block of one, and it is the head of a longer block
+    # drawn from the same stream
     cfg = _cfg(M=3)
-    one = draw_realization(cfg, substream(9, 5))
-    block = draw_realizations(cfg, 1, substream(9, 5))
-    assert one.h_p_pd == block.h_p_pd[0]
-    assert np.array_equal(one.h_p_relay, block.h_p_relay[0])
-    assert np.array_equal(one.h_relay_sd, block.h_relay_sd[0])
-    assert one.h_v_sd == block.h_v_sd[0]
-
-
-def test_decoding_probability_value():
-    # threshold (2^2 - 1)/50 gives exp(-0.06)
-    assert math.isclose(decoding_probability(2.0, 50.0), 0.9417645335842487,
-                        rel_tol=1e-15)
-    assert decoding_probability(0.0, 50.0) == 1.0
+    one = draw_realizations(cfg, 1, substream(9, 5))
+    block = draw_realizations(cfg, 8, substream(9, 5))
+    assert len(one) == 1
+    for name in ("h_p_pd", "h_p_relay", "h_relay_pd", "h_relay_sd", "h_v_pd", "h_v_sd"):
+        assert np.array_equal(getattr(one, name), getattr(block, name)[:1]), name
 
 
 def test_form_decoding_set_matches_rule():
-    cfg = _cfg(M=6, R=0.8)
-    ch = draw_realization(cfg, substream(1, 2))
-    ds = form_decoding_set(cfg, ch, cfg.broadcast_rate())
-    thr = (2.0 ** cfg.broadcast_rate() - 1.0)
-    expect = np.flatnonzero(cfg.gamma_p * np.abs(ch.h_p_relay) ** 2 >= thr)
-    assert np.array_equal(ds.members, expect)
-    assert ds.K == len(expect)
+    # relay k decodes iff gamma_p |h_p_relay[k]|^2 >= 2^rate - 1
+    for case, M, R in (("direct", 6, 0.8), ("nodirect", 5, 1.0)):
+        cfg = _cfg(case, M=M, R=R)
+        block = draw_realizations(cfg, 64, substream(8, 0))
+        thr = 2.0 ** cfg.broadcast_rate() - 1.0
+        expect = cfg.gamma_p * np.abs(block.h_p_relay) ** 2 >= thr
+        mask = decode_mask(cfg, block)
+        assert mask.shape == (64, M - 1)
+        assert np.array_equal(mask, expect)
+        assert 0 < mask.sum() < mask.size
 
 
 def test_decode_mask_agrees_with_decoding_set():
-    from cogrelay import ChannelRealization
-
+    # the decoding set of slot i, formed from that slot alone, is row i of
+    # the block's mask
     cfg = _cfg(M=5, R=1.0)
     block = draw_realizations(cfg, 64, substream(8, 0))
     mask = decode_mask(cfg, block)
+    rng = substream(8, 0)
     for i in range(64):
-        ch = ChannelRealization(
-            h_p_pd=block.h_p_pd[i], h_p_relay=block.h_p_relay[i],
-            h_relay_pd=block.h_relay_pd[i], h_relay_sd=block.h_relay_sd[i],
-            h_v_pd=block.h_v_pd[i], h_v_sd=block.h_v_sd[i])
-        ds = form_decoding_set(cfg, ch, cfg.broadcast_rate())
-        assert np.array_equal(np.flatnonzero(mask[i]), ds.members)
+        slot = decode_mask(cfg, draw_realizations(cfg, 1, rng))
+        assert slot.shape == (1, 4)
+        assert np.array_equal(np.flatnonzero(slot[0]), np.flatnonzero(mask[i]))
 
 
 def test_pmf_is_binomial():
     cfg = _cfg(M=6, R=0.5)
     pmf = decoding_set_pmf(cfg)
-    L = decoding_probability(cfg.broadcast_rate(), cfg.gamma_p)
+    L = math.exp(-snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p)
     ref = stats.binom.pmf(np.arange(6), 5, L)
     assert pmf.shape == (6,)
     assert np.allclose(pmf, ref, rtol=1e-12)
@@ -118,3 +112,12 @@ def test_pmf_no_direct_link_uses_broadcast_rate():
     L = math.exp(-(2.0 ** (0.6 / 0.3) - 1.0) / 20.0)
     ref = stats.binom.pmf(np.arange(4), 3, L)
     assert np.allclose(pmf, ref, rtol=1e-12)
+
+
+def test_pmf_keeps_precision_at_tiny_threshold():
+    # q = (2^rate - 1)/gamma_p = 1e-20: 1 - e^-q rounds to 0, -expm1(-q) = q
+    cfg = SystemConfig(M=5, gamma_p=1e20, gamma_s=30.0, R=0.5)
+    pmf = decoding_set_pmf(cfg)
+    assert math.isclose(pmf[3], 4 * 1e-20, rel_tol=1e-14)
+    assert math.isclose(pmf[0], 1e-80, rel_tol=1e-14)
+    assert pmf[4] == 1.0

@@ -1,11 +1,13 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cogrelay import (Case, DegenerateFit, DiversitySource, SystemConfig,
                       analytic_dmt, empirical_diversity, max_diversity,
-                      multiplexing_limit)
+                      multiplexing_limit, outage_probability)
 
 
 def _cfg(case="direct", M=4, zeta=0.5, R=0.5):
@@ -53,6 +55,27 @@ def test_empirical_diversity_scaling_rate():
     grid = np.logspace(3, 5, 5)
     d = empirical_diversity(_cfg(M=3), 0.25, grid)
     assert abs(d - 1.0) < 0.4   # analytic line: (1 - 2*0.25) * 2 = 1
+
+
+def test_closed_form_slope_follows_dmt_line_away_from_r0():
+    # With R = r log2(gamma) the closed form must fall like gamma^-d(r),
+    # d(r) = d_max (1 - r/r_max), read over the highest decade 10^e -> 10^(e+1)
+    # where nu stays above 1e-300.  With the pmf's failure probability taken
+    # as 1 - L, case 2 at zeta = 0.3 missed the line by up to 1.14 here.
+    cases = [("direct", 0.5)] + [("nodirect", zeta) for zeta in (0.3, 0.5, 0.7)]
+    for (case, zeta), M, frac in itertools.product(cases, (3, 4, 6), (0.1, 0.5, 0.9)):
+        cfg = _cfg(case, M=M, zeta=zeta)
+        r_max = multiplexing_limit(cfg)
+        r = frac * r_max
+
+        def nu(e):
+            g = 10.0 ** e
+            return outage_probability(replace(cfg, gamma_p=g, R=r * math.log2(g))).nu
+
+        e = next(e for e in range(299, 0, -1) if nu(e + 1) > 1e-300)
+        slope = math.log10(nu(e)) - math.log10(nu(e + 1))
+        line = max_diversity(cfg) * (1.0 - r / r_max)
+        assert abs(slope - line) <= 1e-2, (case, zeta, M, frac, e, slope, line)
 
 
 def test_empirical_diversity_monte_carlo():

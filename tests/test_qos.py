@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 import cogrelay.qos
 from cogrelay import (InvalidCase, PrimaryInfeasible, SecondaryInfeasible,
-                      SystemConfig, max_lambda_k, outage_probability,
-                      search_zeta, secondary_success_prob,
-                      secondary_throughput, solve_assignment)
+                      SystemConfig, decoding_set_pmf, max_lambda_k,
+                      outage_probability, search_zeta, secondary_success_prob,
+                      solve_assignment)
+from cogrelay.analytic import _nu_small_k
 from oracles import search_zeta_exhaustive
 
 # the figure presets: users 2..M demand these rates, user 1 is the tagged one
@@ -31,16 +32,6 @@ def test_success_prob_value():
     cfg2 = SystemConfig(M=4, gamma_p=50.0, gamma_s=30.0, R=0.5,
                         case="nodirect", zeta=0.5)
     assert secondary_success_prob(cfg2) == secondary_success_prob(cfg)
-
-
-def test_throughput_value_and_domain():
-    cfg = SystemConfig(M=4, gamma_p=50.0, gamma_s=30.0, R=0.5)
-    assert math.isclose(secondary_throughput(cfg, 0.25), 0.24180402512050148,
-                        rel_tol=1e-15)
-    with pytest.raises(ValueError):
-        secondary_throughput(cfg, -0.1)
-    with pytest.raises(ValueError):
-        secondary_throughput(cfg, 1.1)
 
 
 def test_max_lambda_rate_zero_endpoints():
@@ -129,8 +120,11 @@ def test_search_zeta_keeps_split_where_nu2_rounds_above_one():
     cfg = SystemConfig(M=4, gamma_p=1.0, gamma_s=30.0, R=0.25326530612244896,
                        case="nodirect")
     first = replace(cfg, zeta=0.05)
+    # the raw nu2 that search_zeta prunes with rounds above 1; the public
+    # breakdown clips it
+    assert _nu_small_k(first, decoding_set_pmf(first)) > 1.0
     out = outage_probability(first)
-    assert out.nu2 > 1.0 and out.nu == 1.0
+    assert out.nu2 == 1.0 and out.nu == 1.0
     assert search_zeta(cfg, 0, grid_size=19).zeta == 0.05
 
 

@@ -3,42 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from cogrelay import (BLOCK_SLOTS, InvalidCase, SlotOutcome, SystemConfig,
-                      decoding_set_pmf, estimate_outage,
+from cogrelay import (BLOCK_SLOTS, SystemConfig, decoding_set_pmf,
+                      draw_realizations, estimate_outage,
                       estimate_schedule_throughput, outage_probability,
-                      secondary_success_prob, simulate_slot_case1,
-                      simulate_slot_case2, solve_assignment, substream)
+                      secondary_success_prob, solve_assignment, substream)
 
 
 def _cfg(case="direct", M=4, R=0.5, gamma_p=50.0):
     return SystemConfig(M=M, gamma_p=gamma_p, gamma_s=30.0, R=R, case=case)
 
 
-def test_slot_outcome_fields_and_case_guard():
-    out = simulate_slot_case1(_cfg(), substream(0, 0))
-    assert isinstance(out, SlotOutcome)
-    assert 0 <= out.K <= 3
-    assert isinstance(out.primary_ok, bool)
-    with pytest.raises(InvalidCase):
-        simulate_slot_case1(_cfg("nodirect"), substream(0, 0))
-    with pytest.raises(InvalidCase):
-        simulate_slot_case2(_cfg("direct"), substream(0, 0))
-
-
 def test_slot_stream_is_block_stream():
-    # sequential single-slot draws on one stream replay that stream's block
-    # row-for-row, because normals fill in C order
-    from cogrelay.simulate import _slot_events
-    from cogrelay import draw_realizations
-
+    # a single slot is a block of one: sequential one-slot draws on one
+    # stream replay that stream's block row for row, because normals fill
+    # in C order
     cfg = _cfg(M=3)
     rng = substream(77, 0)
-    outs = [simulate_slot_case1(cfg, rng) for _ in range(5)]
+    slots = [draw_realizations(cfg, 1, rng) for _ in range(5)]
     block = draw_realizations(cfg, 5, substream(77, 0))
-    p_ok, s_ok, k = _slot_events(cfg, block)
-    for i, o in enumerate(outs):
-        assert o == SlotOutcome(K=int(k[i]), primary_ok=bool(p_ok[i]),
-                                secondary_ok=bool(s_ok[i]))
+    for name in ("h_p_pd", "h_p_relay", "h_relay_pd", "h_relay_sd", "h_v_pd", "h_v_sd"):
+        rows = np.concatenate([getattr(slot, name) for slot in slots])
+        assert np.array_equal(rows, getattr(block, name)), name
 
 
 def test_estimate_outage_deterministic_and_worker_invariant():
