@@ -14,7 +14,7 @@ except ModuleNotFoundError:  # Python 3.10, where pytest itself depends on tomli
 
 import cogrelay
 from cogrelay import SystemConfig, outage_highsnr, outage_probability
-from cogrelay.cli import ConfigError, build_spec, main, parse_config_file
+from cogrelay.cli import _DEFAULTS, ConfigError, build_spec, main, parse_config_file
 
 
 def _run(tmp_path, *args):
@@ -150,6 +150,31 @@ def test_override_beats_config_file(tmp_path):
     assert values["M"] == 6
 
 
+def test_readme_keys_table_matches_cli():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Keys:", 1)[1].split("\n\n", 2)[1]
+    keys = [row.split("|")[1].strip().strip("`") for row in table.splitlines()[2:]]
+    assert sorted(keys) == sorted(_DEFAULTS)
+
+
+@pytest.mark.parametrize("args", [
+    ["--experiment", "qos-sweep", "--case", "nodirect", "--M", "5", "--lambda_p", "0.1",
+     "--lambda_s", "0,0.1,0.2,0.1,0.15", "--k", "2"],
+    ["--experiment", "outage-curve"],
+])
+def test_stamp_reproduces_its_run(args, tmp_path):
+    code, text = _run(tmp_path, *args)
+    assert code == 0
+    stamp = dict(item.split("=", 1) for item in text.splitlines()[0][2:].split(" "))
+    run = ["--experiment", stamp.pop("experiment"), "--seed", stamp.pop("seed"),
+           "--trials", stamp.pop("trials")]
+    cfg = tmp_path / "stamp.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in stamp.items()))
+    rerun = tmp_path / "rerun.csv"
+    assert main([*run, "--config", str(cfg), "--out", str(rerun)]) == code
+    assert rerun.read_bytes() == (tmp_path / "out.csv").read_bytes()
+
+
 # ------------------------------------------------------------------------ experiments
 
 def test_outage_curve_csv(tmp_path):
@@ -244,6 +269,21 @@ def test_fig1_preset_claims(tmp_path):
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
     for r4, r5, r6 in zip(by_m[4], by_m[5], by_m[6]):
         assert float(r4[2]) > float(r5[2]) > float(r6[2])
+
+
+@pytest.mark.parametrize("experiment, calls", [("fig1", 93), ("qos-sweep", 31)])
+def test_qos_rows_evaluate_outage_once_per_point(experiment, calls, tmp_path, monkeypatch):
+    from cogrelay import qos
+    seen = []
+
+    def counted(cfg):
+        seen.append(cfg)
+        return outage_probability(cfg)
+
+    monkeypatch.setattr(qos, "outage_probability", counted)
+    code, _ = _run(tmp_path, "--experiment", experiment)
+    assert code == 0
+    assert len(seen) == calls
 
 
 def test_fig2_structure(tmp_path):
