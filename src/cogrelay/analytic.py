@@ -11,18 +11,17 @@ Two topologies:
 
 Everything is expressed through thresholds Q = (2^rate - 1)/gamma, the
 per-relay decoding probability L = exp(-Q_broadcast), and the interference
-variable phi = gamma_s * |h_v_pd|^2 ~ Exponential(mean gamma_s).  All
-series below are arranged as sums of positive terms (or complements taken
-only when they cost at most one bit), so the same code is accurate from
-nu ~ 1 down to the deep high-SNR tail.
+variable phi = gamma_s * |h_v_pd|^2 ~ Exponential(mean gamma_s).
 
-Both phi-averaged outages are exact finite forms; no integrator runs here.
-Case 1 conditions on the direct branch and the beamforming gain instead of
-phi, which leaves Gauss hypergeometric values h_k = 2F1(1, k; n+2; a) with
-n + 1 - k >= 1.  They come from a three-term contiguous relation run outward
-from one seed in its contracting directions (`_case1_h`), not from
-`scipy.special.hyp2f1`, which on scipy 1.17.1 returns inf or out-of-bound
-values for n >= 99 and a > 0.9.
+Both phi-averaged outages are exact finite sums of positive terms, with no
+complement, no integrator and no open-ended series, so the same code is
+accurate from nu ~ 1 down to the deep high-SNR tail.  Case 2 conditions on
+the beamforming gain instead of phi (`case2_outage`).  Case 1 conditions on
+the direct branch and the beamforming gain, which leaves Gauss hypergeometric
+values h_k = 2F1(1, k; n+2; a) with n + 1 - k >= 1.  They come from a
+three-term contiguous relation run outward from one seed in its contracting
+directions (`_case1_h`), not from `scipy.special.hyp2f1`, which on scipy
+1.17.1 returns inf or out-of-bound values for n >= 99 and a > 0.9.
 """
 from __future__ import annotations
 
@@ -38,21 +37,9 @@ from .config import Case, SystemConfig, snr_threshold
 
 _log = logging.getLogger(__name__)
 
-# term cap for every open-ended series below: over their reachable domain
-# none takes more than ~10^4 terms, so hitting it means a NaN or absurd input
-_MAX_TERMS = 1_000_000
-
 
 class InvalidCase(Exception):
     """Operation called for the wrong topology case."""
-
-
-class SeriesNotConverged(Exception):
-    """A series hit its term cap without meeting its stopping rule."""
-
-
-def _cap_reached(name: str) -> SeriesNotConverged:
-    return SeriesNotConverged(f"{name} did not converge in {_MAX_TERMS} terms")
 
 
 class QuadratureFailure(Exception):
@@ -126,59 +113,6 @@ def _exp(x: float) -> float:
         return exp(x)
     except OverflowError:
         return inf
-
-
-# --- phi-averaged Gamma CDF (the Eq.-(30)-type inner sum, regrouped) -----
-
-
-def _expected_poisson_tail(n: int, c: float, gamma_s: float) -> float:
-    """A(c) = E_phi[ Pr{Gamma(n,1) <= c(1+phi)} ], phi ~ Exponential(gamma_s).
-
-    Expanding the Gamma CDF as a Poisson tail and integrating term-by-term
-    gives A(c) = sum_{m>=n} G_m with
-
-        G_m = (1+c*gamma_s)^-1 * a^m * e^-c * sum_{i<=m} z^i/i!,
-        a = c*gamma_s/(1+c*gamma_s),  z = c + 1/gamma_s.
-
-    The partial sum below n is evaluated first; if it is small the
-    complement 1 - partial costs nothing, otherwise the positive tail
-    series is summed directly with remainder bound a^{m+1} e^{1/gamma_s}.
-    """
-    if n <= 0:
-        return 1.0
-    if c <= 0.0:
-        return 0.0
-    if gamma_s < 1.0 / 700.0:
-        # interference indistinguishable from zero at float precision
-        return poisson_tail(n, c)
-    cg = c * gamma_s
-    a = cg / (1.0 + cg)
-    base = 1.0 / (1.0 + cg)
-    z = c + 1.0 / gamma_s
-    t = exp(-c)                 # t_i = e^-c z^i / i!
-    if t == 0.0:
-        return 1.0              # c > ~745: threshold dwarfs any order n here
-    P = t                       # P_m = e^-c sum_{i<=m} z^i/i!
-    apow = 1.0                  # a^m
-    partial = 0.0
-    for m in range(n):
-        partial += base * apow * P
-        apow *= a
-        t *= z / (m + 1)
-        P += t
-    if partial < 0.5:
-        return 1.0 - partial
-    emax = exp(1.0 / gamma_s)   # upper bound on all P_m
-    tail = 0.0
-    for m in range(n, n + _MAX_TERMS):
-        tail += base * apow * P
-        apow *= a
-        t *= z / (m + 1)
-        P += t
-        if apow * emax <= 1e-16 * tail:
-            return tail
-    else:
-        raise _cap_reached("_expected_poisson_tail")
 
 
 # --- case 1: direct link + MRC ------------------------------------------
@@ -306,16 +240,34 @@ def case1_outage_highsnr(cfg: SystemConfig) -> float:
 
 
 def case2_outage(cfg: SystemConfig) -> OutageBreakdown:
-    """Primary outage without a direct link, averaged over phi in closed form."""
+    """Primary outage without a direct link, averaged over phi in closed form.
+
+    nu1 = sum_{K>=2} pmf[K] A_{K-1}(c) with A_n(c) = Pr{G_n < c(1+phi)},
+    G_n ~ Gamma(n, 1).  Conditioning on G_n instead of phi, Pr{phi >= G_n/c - 1}
+    = e^{-(G_n/c-1)^+/gamma_s}, and integrating against the Gamma density gives
+
+        A_n(c) = P(n, c) + S_n,  S_n = sum_{j=1..n} pi_{n-j}(c) a^j,
+
+    with a = c gamma_s/(1 + c gamma_s) and pi the Poisson(c) pmf: A_n =
+    E[a^{(n-N)^+}] for N ~ Poisson(c), a sum of positive terms.
+    """
     if cfg.case is not Case.NO_DIRECT_LINK:
         raise InvalidCase("case2_outage needs cfg.case = NO_DIRECT_LINK")
-    q_zeta = _threshold_q(cfg)
+    c = _threshold_q(cfg)
     pmf = decoding_set_pmf(cfg)
-    nu1 = sum(
-        pmf[K] * _expected_poisson_tail(K - 1, q_zeta, cfg.gamma_s)
-        for K in range(2, cfg.M)
-    )
-    return _breakdown(nu1, _nu_small_k(cfg, pmf))
+    nu2 = _nu_small_k(cfg, pmf)
+    pois = exp(-c)              # pi_{n-1}
+    if pois == 0.0:
+        return _breakdown(sum(pmf[2:]), nu2)   # c > ~745 dwarfs any order n here
+    cg = c * cfg.gamma_s
+    b = 1.0 / (1.0 + cg)
+    a = cg * b if cg <= 1.0 else 1.0 - b
+    nu1 = s = 0.0
+    for n in range(1, cfg.M - 1):
+        s = a * (s + pois)      # S_n = a (S_{n-1} + pi_{n-1})
+        pois *= c / n
+        nu1 += pmf[n + 1] * (poisson_tail(n, c) + s)
+    return _breakdown(nu1, nu2)
 
 
 def case2_outage_highsnr(cfg: SystemConfig) -> float:

@@ -9,15 +9,15 @@ Every config key and its default live in one table, `_DEFAULTS`; a value
 parses as the type of its default (`lambda_s` is a comma-separated list).
 Config files are flat `key = value` lines; `#` starts a comment.  Any key can
 also be overridden on the command line as `--key value`, which wins over the
-file.  Every CSV starts with a `#` stamp line recording the resolved keys,
+file.  Every CSV starts with a `#` stamp line recording the resolved keys (for
+the fixed-preset `fig1`, `fig2` and `validate`, only those they read), the
 seed and trial count (but not workers or output path), so a byte-identical
 file certifies a reproduced run.  `qos-sweep`, `fig1` and both `fig2` modes
 write the same QoS columns, one `QosSolution` per operating point.
 
 Exit codes: 0 success, 1 validation failure (some |z| > 4), 2 bad config,
 3 library error (a numerical or model failure such as an unfittable DMT
-curve or a series that hits its term cap; one `cogrelay: ...` line on stderr,
-no traceback).
+curve; one `cogrelay: ...` line on stderr, no traceback).
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from math import inf, isfinite, nan, sqrt
 
 import numpy as np
 
-from .analytic import InvalidCase, SeriesNotConverged, outage_highsnr, outage_probability
+from .analytic import InvalidCase, outage_highsnr, outage_probability
 from .beamform import DegenerateChannel
 from .config import Case, SystemConfig
 from .dmt import (DegenerateFit, DiversitySource, analytic_dmt, empirical_diversity,
@@ -45,7 +45,7 @@ class ConfigError(Exception):
 
 
 # the library's own failures, reported with exit code 3
-_LIBRARY_ERRORS = (DegenerateChannel, DegenerateFit, InvalidCase, SeriesNotConverged)
+_LIBRARY_ERRORS = (DegenerateChannel, DegenerateFit, InvalidCase)
 
 
 # every recognized config key with its default; a value parses as the type of
@@ -124,8 +124,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _stamp(spec: ExperimentSpec, values: dict) -> str:
-    entries = {**values, "experiment": spec.name, "seed": spec.seed, "trials": spec.trials}
+def _stamp(spec: ExperimentSpec, values: dict, keys: tuple) -> str:
+    entries = {**{k: values[k] for k in keys},
+               "experiment": spec.name, "seed": spec.seed, "trials": spec.trials}
     return "# " + " ".join(f"{k}={_fmt(entries[k])}" for k in sorted(entries))
 
 
@@ -175,7 +176,7 @@ def _run_outage_curve(spec: ExperimentSpec, values: dict, lines: list) -> int:
 
 # closed forms are validated on a fixed stress grid rather than at the single
 # configured point; gamma_s and (for the no-direct-link case) zeta come from
-# the grid as well, so only case/trials/seed matter here.
+# the grid as well, so only case, zeta, trials and seed matter here.
 _VALIDATE_M = (3, 4, 6)
 _VALIDATE_GAMMA = (10.0, 50.0, 200.0)
 _VALIDATE_R = (0.25, 0.5, 1.0)
@@ -257,13 +258,16 @@ def _run_fig2(spec: ExperimentSpec, values: dict, lines: list) -> int:
     return 0
 
 
+# each experiment's runner and the keys its stamp records: every key, or only
+# the few that a fixed-preset experiment reads
+_RATE_KEYS = ("R_min", "R_max", "n_points")
 _RUNNERS = {
-    "outage-curve": _run_outage_curve,
-    "validate": _run_validate,
-    "dmt": _run_dmt,
-    "qos-sweep": _run_qos_sweep,
-    "fig1": _run_fig1,
-    "fig2": _run_fig2,
+    "outage-curve": (_run_outage_curve, tuple(_DEFAULTS)),
+    "validate": (_run_validate, ("case", "zeta")),
+    "dmt": (_run_dmt, tuple(_DEFAULTS)),
+    "qos-sweep": (_run_qos_sweep, tuple(_DEFAULTS)),
+    "fig1": (_run_fig1, _RATE_KEYS),
+    "fig2": (_run_fig2, _RATE_KEYS),
 }
 
 
@@ -271,10 +275,11 @@ def run_experiment(spec: ExperimentSpec, values: dict) -> int:
     """Execute one experiment, write its CSV, return the process exit code.
 
     values is the resolved key table from build_spec: the runners read their
-    sweep settings from it and the stamp records it.
+    sweep settings from it and the stamp records the keys listed in _RUNNERS.
     """
-    lines = [_stamp(spec, values)]
-    code = _RUNNERS[spec.name](spec, values, lines)
+    runner, keys = _RUNNERS[spec.name]
+    lines = [_stamp(spec, values, keys)]
+    code = runner(spec, values, lines)
     try:
         with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -16,14 +16,27 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from cogrelay.analytic import (_MAX_TERMS, InvalidCase, OutageBreakdown,
-                               QuadratureFailure, _breakdown, _cap_reached,
-                               _nu_small_k, _threshold_q, poisson_tail)
+from cogrelay.analytic import (InvalidCase, OutageBreakdown, QuadratureFailure,
+                               _breakdown, _nu_small_k, _threshold_q,
+                               poisson_tail)
 from cogrelay.beamform import _DEGENERACY_FLOOR, DegenerateChannel
 from cogrelay.channel import decoding_set_pmf
 from cogrelay.config import Case, SystemConfig, snr_threshold
 from cogrelay.qos import (PrimaryInfeasible, QosSolution, SecondaryInfeasible,
                           _check_k, solve_assignment)
+
+# term cap for the open-ended series of `_case1_bracket`: over its reachable
+# domain none takes more than ~10^4 terms, so hitting it means a NaN or an
+# absurd input
+_MAX_TERMS = 1_000_000
+
+
+class SeriesNotConverged(Exception):
+    """A series hit its term cap without meeting its stopping rule."""
+
+
+def _cap_reached(name: str) -> SeriesNotConverged:
+    return SeriesNotConverged(f"{name} did not converge in {_MAX_TERMS} terms")
 
 
 def average_over_phi(fn: Callable[[float], float], gamma_s: float,

@@ -112,15 +112,6 @@ def test_library_error_exits_3_without_traceback(tmp_path):
     assert proc.stderr.startswith("cogrelay: DegenerateFit") and proc.stderr.count("\n") == 1
 
 
-def test_series_cap_exits_3(tmp_path, monkeypatch, capsys):
-    from cogrelay import analytic
-    monkeypatch.setattr(analytic, "_MAX_TERMS", 1)   # no tail series can finish
-    code, _ = _run(tmp_path, "--experiment", "outage-curve", "--case", "nodirect")
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("cogrelay: SeriesNotConverged") and err.count("\n") == 1
-
-
 def test_outage_curve_at_former_quadrature_failures(tmp_path):
     # gamma_s = 1e4, R = 1.5 once raised QuadratureFailure near gamma_p = 1
     for M in ("3", "4", "6"):
@@ -161,6 +152,7 @@ def test_readme_keys_table_matches_cli():
     ["--experiment", "qos-sweep", "--case", "nodirect", "--M", "5", "--lambda_p", "0.1",
      "--lambda_s", "0,0.1,0.2,0.1,0.15", "--k", "2"],
     ["--experiment", "outage-curve"],
+    ["--experiment", "fig1", "--gamma_p", "80", "--k", "3"],
 ])
 def test_stamp_reproduces_its_run(args, tmp_path):
     code, text = _run(tmp_path, *args)
@@ -173,6 +165,16 @@ def test_stamp_reproduces_its_run(args, tmp_path):
     rerun = tmp_path / "rerun.csv"
     assert main([*run, "--config", str(cfg), "--out", str(rerun)]) == code
     assert rerun.read_bytes() == (tmp_path / "out.csv").read_bytes()
+
+
+def test_fig1_csv_ignores_keys_it_does_not_read(tmp_path):
+    # fig1 runs a fixed preset, so gamma_p and k change neither its body nor its stamp
+    out, default = tmp_path / "keys.csv", tmp_path / "default.csv"
+    assert main(["--experiment", "fig1", "--gamma_p", "80", "--k", "3", "--out", str(out)]) == 0
+    assert main(["--experiment", "fig1", "--out", str(default)]) == 0
+    assert out.read_bytes() == default.read_bytes()
+    assert out.read_text().splitlines()[0] == (
+        "# R_max=1.5 R_min=0.0 experiment=fig1 n_points=31 seed=0 trials=100000")
 
 
 # ------------------------------------------------------------------------ experiments
