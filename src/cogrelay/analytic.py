@@ -28,6 +28,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from math import comb, exp, expm1, inf, lgamma, log
+from sys import float_info
 
 import numpy as np
 from scipy import special
@@ -256,14 +257,17 @@ def case2_outage(cfg: SystemConfig) -> OutageBreakdown:
     c = _threshold_q(cfg)
     pmf = decoding_set_pmf(cfg)
     nu2 = _nu_small_k(cfg, pmf)
+    if c == inf:
+        return _breakdown(sum(pmf[2:]), nu2)   # every A_n(inf) = 1
     pois = exp(-c)              # pi_{n-1}
-    if pois == 0.0:
-        return _breakdown(sum(pmf[2:]), nu2)   # c > ~745 dwarfs any order n here
+    in_logs = pois < float_info.min     # c > ~708: e^-c is subnormal or 0, so use logs
     cg = c * cfg.gamma_s
     b = 1.0 / (1.0 + cg)
     a = cg * b if cg <= 1.0 else 1.0 - b
     nu1 = s = 0.0
     for n in range(1, cfg.M - 1):
+        if in_logs:
+            pois = exp(-c + (n - 1) * log(c) - lgamma(n))
         s = a * (s + pois)      # S_n = a (S_{n-1} + pi_{n-1})
         pois *= c / n
         nu1 += pmf[n + 1] * (poisson_tail(n, c) + s)

@@ -66,9 +66,9 @@ def effective_gain(h_pd: np.ndarray, h_sd: np.ndarray, mask: np.ndarray) -> np.n
     relays; rows whose masked h_sd is numerically null (or with fewer than
     one relay) get alpha = 0, matching the zero-gain fallback.
     """
-    a2 = np.sum(np.abs(h_pd) ** 2, axis=1, where=mask, initial=0.0)
-    b2 = np.sum(np.abs(h_sd) ** 2, axis=1, where=mask, initial=0.0)
-    ip = np.sum(h_sd.conj() * h_pd * mask, axis=1)
+    pd, sd = (np.where(mask, h, np.complex128(0.0)) for h in (h_pd, h_sd))
+    a2, b2 = (np.einsum("ij,ij->i", v, v) for v in (pd.view(np.float64), sd.view(np.float64)))
+    ip = np.einsum("ij,ij->i", np.conjugate(sd, out=sd), pd)
     safe = b2 > _DEGENERACY_FLOOR
-    alpha = a2 - np.abs(ip) ** 2 / np.where(safe, b2, 1.0)
+    alpha = a2 - (ip.real ** 2 + ip.imag ** 2) / np.where(safe, b2, 1.0)
     return np.where(safe, np.clip(alpha, 0.0, None), 0.0)

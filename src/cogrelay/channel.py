@@ -5,6 +5,11 @@ average power: h = (x + jy)/sqrt(2) with x, y standard normal.  Fading is
 constant within a slot and independent across slots.  The scheduled
 secondary source is handled by relabeling: by exchangeability the relays
 are always indices 0..M-2 of a fresh draw.
+
+Links that enter only through their power (primary tx -> pd and -> each
+relay, secondary source -> pd and -> sd) are drawn as |h|^2 ~ Exp(1), exact
+for CN(0, 1).  The relay -> pd and relay -> sd vectors stay complex: the
+zero-forcing gain is their projection, never a draw from its Gamma law.
 """
 from __future__ import annotations
 
@@ -29,37 +34,37 @@ def substream(seed: int, index: int) -> np.random.Generator:
 class ChannelBlock:
     """Channels of n slots, from each slot's scheduled secondary source's view."""
 
-    h_p_pd: np.ndarray            # (n,) primary tx -> primary destination (0 when no direct link)
-    h_p_relay: np.ndarray         # (n, M-1) primary tx -> each candidate relay
-    h_relay_pd: np.ndarray        # (n, M-1) each relay -> primary destination
-    h_relay_sd: np.ndarray        # (n, M-1) each relay -> secondary destination
-    h_v_pd: np.ndarray            # (n,) secondary source -> primary destination (interference path)
-    h_v_sd: np.ndarray            # (n,) secondary source -> its own destination
+    h_p_pd: np.ndarray            # (n,) |h|^2 primary tx -> primary dest. (0 when no direct link)
+    h_p_relay: np.ndarray         # (n, M-1) |h|^2 primary tx -> each candidate relay
+    h_relay_pd: np.ndarray        # (n, M-1) complex h, each relay -> primary destination
+    h_relay_sd: np.ndarray        # (n, M-1) complex h, each relay -> secondary destination
+    h_v_pd: np.ndarray            # (n,) |h|^2 secondary source -> primary destination (interference)
+    h_v_sd: np.ndarray            # (n,) |h|^2 secondary source -> its own destination
 
     def __len__(self) -> int:
         return self.h_p_pd.shape[0]
 
 
 def draw_realizations(cfg: SystemConfig, n: int, rng: np.random.Generator) -> ChannelBlock:
-    """Draw n independent slots.
+    """Draw n independent slots; a single slot is n = 1.
 
-    The 3M complex links of a slot fill one contiguous row of a single
-    normal draw, so a batch of n is bit-identical to n consecutive draws of
-    one slot each from the same stream; a single slot is n = 1.
+    Two draws per block, in this order: an (n, M+2) Exp(1) array of the
+    power gains [p->pd, p->relay_0..relay_{M-2}, v->pd, v->sd], then
+    (n, 2(M-1)) complex normals, [relay->pd | relay->sd].
     """
     m = cfg.M - 1
-    z = rng.standard_normal((n, 3 * cfg.M, 2))
-    h = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
-    h_p_pd = h[:, 0].copy()
+    e = rng.standard_exponential((n, cfg.M + 2))
     if cfg.case is Case.NO_DIRECT_LINK:
-        h_p_pd[:] = 0.0
+        e[:, 0] = 0.0
+    z = rng.standard_normal((n, 2 * m, 2))
+    h = np.multiply(z, np.sqrt(0.5), out=z).view(np.complex128)[..., 0]
     return ChannelBlock(
-        h_p_pd=h_p_pd,
-        h_p_relay=h[:, 1 : 1 + m],
-        h_relay_pd=h[:, 1 + m : 1 + 2 * m],
-        h_relay_sd=h[:, 1 + 2 * m : 1 + 3 * m],
-        h_v_pd=h[:, 1 + 3 * m],
-        h_v_sd=h[:, 2 + 3 * m],
+        h_p_pd=e[:, 0],
+        h_p_relay=e[:, 1 : 1 + m],
+        h_relay_pd=h[:, :m],
+        h_relay_sd=h[:, m:],
+        h_v_pd=e[:, 1 + m],
+        h_v_sd=e[:, 2 + m],
     )
 
 
@@ -70,10 +75,10 @@ def decode_mask(cfg: SystemConfig, block: ChannelBlock) -> np.ndarray:
     """Boolean (n, M-1): which relays decode the broadcast at the case's rate.
 
     Relay k decodes iff gamma_p |h_p_relay[k]|^2 >= 2^rate - 1 (success at
-    equality).
+    equality); the block holds that power gain directly.
     """
     thr = snr_threshold(cfg.broadcast_rate())
-    return cfg.gamma_p * np.abs(block.h_p_relay) ** 2 >= thr
+    return cfg.gamma_p * block.h_p_relay >= thr
 
 
 def decoding_set_pmf(cfg: SystemConfig) -> np.ndarray:

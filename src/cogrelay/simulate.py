@@ -7,8 +7,10 @@ are bit-identical for any worker count.
 """
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from math import sqrt
 
 import numpy as np
@@ -52,24 +54,28 @@ def _slot_events(cfg: SystemConfig, block: ChannelBlock):
     k = mask.sum(axis=1)
     alpha = effective_gain(block.h_relay_pd, block.h_relay_sd, mask)
     alpha = np.where(k >= 2, alpha, 0.0)
-    phi = cfg.gamma_s * np.abs(block.h_v_pd) ** 2
+    phi = cfg.gamma_s * block.h_v_pd
     relayed = cfg.gamma_p * alpha / (1.0 + phi)
     thr = snr_threshold(cfg.forward_rate())
     if cfg.case is Case.DIRECT_LINK:
         # MRC: direct-branch SNR adds to the beamformed-branch SINR
-        primary_ok = relayed + cfg.gamma_p * np.abs(block.h_p_pd) ** 2 >= thr
+        primary_ok = relayed + cfg.gamma_p * block.h_p_pd >= thr
     else:
         # nothing reaches pd unless at least two relays cooperated
         primary_ok = (k >= 2) & (relayed >= thr)
     thr_s = snr_threshold(cfg.secondary_rate())
-    secondary_ok = cfg.gamma_s * np.abs(block.h_v_sd) ** 2 >= thr_s
+    secondary_ok = cfg.gamma_s * block.h_v_sd >= thr_s
     return primary_ok, secondary_ok, k
 
 
 def _blocks(trials: int):
-    """(index, n_slots) for each fixed-size block covering `trials` slots."""
-    return [(b, min(BLOCK_SLOTS, trials - b * BLOCK_SLOTS))
-            for b in range((trials + BLOCK_SLOTS - 1) // BLOCK_SLOTS)]
+    """(index, n_slots) for each fixed-size block covering `trials` slots, lazily."""
+    for b in range(-(-trials // BLOCK_SLOTS)):
+        yield b, min(BLOCK_SLOTS, trials - b * BLOCK_SLOTS)
+
+
+def _add(total: tuple, result: tuple) -> tuple:
+    return tuple(map(operator.add, total, result))
 
 
 def _outage_block(args):
@@ -86,7 +92,7 @@ def _outage_block(args):
 def _schedule_block(args):
     cfg, omega, seed, index, n = args
     rng = substream(seed, index)
-    block = draw_realizations(cfg, n, rng)      # channel normals first,
+    block = draw_realizations(cfg, n, rng)      # channel draws first,
     u = rng.random(n)                           # scheduling uniforms after
     scheduled = np.searchsorted(np.cumsum(omega), u, side="right")
     scheduled = np.minimum(scheduled, len(omega) - 1)
@@ -95,12 +101,18 @@ def _schedule_block(args):
     return succ, int(np.count_nonzero(primary_ok))
 
 
-def _run_blocks(task, argslist, workers: int):
+def _sum_blocks(task, head: tuple, trials: int, workers: int) -> tuple:
+    """Elementwise sum of task(head + (index, n_slots)) over the blocks, folded
+    as they arrive so memory does not grow with `trials` (integer counts: exact).
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    args = (head + b for b in _blocks(trials))
     if workers <= 1:
-        return [task(a) for a in argslist]
+        return reduce(_add, map(task, args))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(argslist) // (workers * 4))
-        return list(pool.map(task, argslist, chunksize=chunk))
+        chunk = max(1, -(-trials // BLOCK_SLOTS) // (workers * 4))
+        return reduce(_add, pool.map(task, args, chunksize=chunk))
 
 
 def _estimate(count: int, trials: int) -> OutageEstimate:
@@ -115,13 +127,7 @@ def estimate_outage(cfg: SystemConfig, trials: int, seed: int = 0,
     Deterministic in (cfg, trials, seed); the workers argument affects
     wall-clock only.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    argslist = [(cfg, seed, b, n) for b, n in _blocks(trials)]
-    results = _run_blocks(_outage_block, argslist, workers)
-    p_out = sum(r[0] for r in results)
-    s_out = sum(r[1] for r in results)
-    k_counts = np.sum([r[2] for r in results], axis=0)
+    p_out, s_out, k_counts = _sum_blocks(_outage_block, (cfg, seed), trials, workers)
     return OutageSimulation(
         primary=_estimate(p_out, trials),
         secondary=_estimate(s_out, trials),
@@ -142,12 +148,7 @@ def estimate_schedule_throughput(cfg: SystemConfig, omega, trials: int,
     omega = tuple(float(w) for w in omega)
     if len(omega) != cfg.M or any(w < 0 for w in omega):
         raise ValueError("omega must be M nonnegative probabilities")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    argslist = [(cfg, omega, seed, b, n) for b, n in _blocks(trials)]
-    results = _run_blocks(_schedule_block, argslist, workers)
-    succ = np.sum([r[0] for r in results], axis=0)
-    p_ok = sum(r[1] for r in results)
+    succ, p_ok = _sum_blocks(_schedule_block, (cfg, omega, seed), trials, workers)
     mu = succ / trials
     return ScheduleEstimate(
         mu_hat=mu,

@@ -3,10 +3,12 @@
 `average_over_phi` is the adaptive quadrature the closed forms are checked
 against, and `case1_outage_given_phi` / `case2_outage_given_phi` the
 phi-conditional outages it averages.  `outage_mp` builds nu from the model's
-laws in high-precision finite sums, sharing no code with the closed forms.
+laws in high-precision finite sums, sharing no code with the closed forms;
+`case2_nu1_mp` is the case-2 finite sum itself, where float e^-c underflows.
 `search_zeta_exhaustive` is the full grid scan behind `search_zeta`,
-`outage_highsnr_direct` the high-SNR asymptotes summed in plain floats, and
-`projection_matrix` the K x K projector the beamformer applies in rank-1 form.
+`outage_highsnr_direct` the high-SNR asymptotes summed in plain floats,
+`projection_matrix` the K x K projector the beamformer applies in rank-1 form,
+and `effective_gain_ref` the batched gain with explicit |h|^2 temporaries.
 """
 from dataclasses import replace
 from math import comb, exp, expm1, factorial, lgamma, log, nan
@@ -157,6 +159,20 @@ def projection_matrix(h_sd: np.ndarray) -> np.ndarray:
     return np.eye(len(h_sd), dtype=complex) - np.outer(h_sd, h_sd.conj()) / b2
 
 
+def effective_gain_ref(h_pd: np.ndarray, h_sd: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Batched alpha through masked sums of |h|^2 temporaries.
+
+    The library's earlier `effective_gain`, kept as the reference for the
+    fused form that works on the float64 views of the masked arrays.
+    """
+    a2 = np.sum(np.abs(h_pd) ** 2, axis=1, where=mask, initial=0.0)
+    b2 = np.sum(np.abs(h_sd) ** 2, axis=1, where=mask, initial=0.0)
+    ip = np.sum(h_sd.conj() * h_pd * mask, axis=1)
+    safe = b2 > _DEGENERACY_FLOOR
+    alpha = a2 - np.abs(ip) ** 2 / np.where(safe, b2, 1.0)
+    return np.where(safe, np.clip(alpha, 0.0, None), 0.0)
+
+
 def search_zeta_exhaustive(cfg: SystemConfig, k: int, grid_size: int = 999) -> QosSolution:
     """Best slot split for the no-direct-link case by exhaustive grid scan.
 
@@ -276,6 +292,33 @@ def _nu_mp(cfg: SystemConfig):
             c.append(mp.exp(-Q) * mp.fsum(gs**j / mp.factorial(i - j) * v_int[j]
                                           for j in range(i + 1)))
     return mp.fsum(pmf[K] * (base - mp.fsum(c[:K - 1])) for K in range(2, M)) + nu2
+
+
+def case2_nu1_mp(cfg: SystemConfig, dps: int = 40) -> float:
+    """Case-2 nu1 as the finite sum sum_{K>=2} pmf[K] A_{K-1}(c), in mpmath.
+
+    A_n(c) = Pr{Poisson(c) >= n} + S_n, S_n = sum_{j=1..n} pi_{n-j}(c) a^j =
+    a (S_{n-1} + pi_{n-1}), with a = c gamma_s/(1 + c gamma_s) and pi the
+    Poisson(c) pmf.  At `dps` digits e^-c cannot underflow, so this holds
+    where float e^-c is subnormal or 0.
+    """
+    mp = mpmath.mp
+    with mpmath.workdps(dps):
+        def threshold(rate):                     # (2^rate - 1)/gamma_p
+            return mp.expm1(rate * mp.ln2) / cfg.gamma_p
+
+        R = mp.mpf(cfg.R)
+        q_b, c = threshold(R / cfg.zeta), threshold(R / (1 - mp.mpf(cfg.zeta)))
+        L, L_bar = mp.exp(-q_b), -mp.expm1(-q_b)
+        a = c * cfg.gamma_s / (1 + c * cfg.gamma_s)
+        pois, below, s, nu1 = mp.exp(-c), mp.mpf(0), mp.mpf(0), mp.mpf(0)
+        for n in range(1, cfg.M - 1):            # n = K - 1; pois = pi_{n-1}
+            s = a * (s + pois)
+            below += pois                        # Pr{Poisson(c) < n}
+            K = n + 1
+            nu1 += mp.binomial(cfg.M - 1, K) * L**K * L_bar ** (cfg.M - 1 - K) * (1 - below + s)
+            pois *= c / n
+        return float(nu1)
 
 
 def outage_mp(cfg: SystemConfig) -> float:

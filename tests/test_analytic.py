@@ -24,7 +24,7 @@ from cogrelay import (Case, InvalidCase, SystemConfig, case1_outage,
 from cogrelay import analytic
 from oracles import (SeriesNotConverged, _case1_bracket, average_over_phi,
                      case1_outage_given_phi, case2_outage_given_phi,
-                     outage_highsnr_direct, outage_mp)
+                     case2_nu1_mp, outage_highsnr_direct, outage_mp)
 
 
 def _cfg(M=4, gamma_p=50.0, gamma_s=30.0, R=0.5, case="direct", zeta=0.5):
@@ -317,6 +317,21 @@ def test_closed_forms_match_mpmath_oracle():
             assert abs(got - ref) <= 1e-12 * ref, (cfg, got, ref)
             checked += 1
     assert checked >= 185, checked
+
+
+def test_case2_outage_where_poisson_weight_underflows():
+    # c = (2^25 - 1)/gamma_p in 700..760 at R = 1, zeta = 0.96: e^-c is
+    # normal, subnormal or 0.  A shortcut that took A_n = 1 once e^-c was 0
+    # gave nu1 = 1.0 at c = 760 (mpmath: 0.99956 / 0.99829 / 0.99397), and
+    # a subnormal e^-c cost up to 2.6e-3 relative at c = 740
+    for c, M in itertools.product((700, 720, 740, 760), (760, 800, 900)):
+        cfg = _cfg(M=M, gamma_p=(2**25 - 1) / c, gamma_s=30.0, R=1.0,
+                   case="nodirect", zeta=0.96)
+        got, ref = case2_outage(cfg).nu1, case2_nu1_mp(cfg)
+        assert abs(got - ref) <= 1e-12 * ref, (c, M, got, ref)
+    # an infinite threshold leaves every A_n = 1 and no NaN
+    cfg = _cfg(M=6, R=1.5, case="nodirect", zeta=0.999)
+    assert case2_outage(cfg).nu1 == sum(decoding_set_pmf(cfg)[2:])
 
 
 # ------------------------------------------------------------------ series term caps

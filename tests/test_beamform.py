@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cogrelay import (BeamformerResult, DegenerateChannel, effective_gain,
+from cogrelay import (BeamformerResult, DegenerateChannel, SystemConfig,
+                      decode_mask, draw_realizations, effective_gain,
                       optimal_weights, substream)
-from oracles import projection_matrix
+from oracles import effective_gain_ref, projection_matrix
 
 
 def _draw(rng, k):
@@ -92,6 +93,27 @@ def test_effective_gain_matches_scalar_path():
         else:
             # one relay cannot null sd and still point at pd; none cannot transmit
             assert alpha[i] == 0.0 or alpha[i] < 1e-12
+
+
+def test_fused_gain_matches_reference():
+    # drawn blocks at gamma_p = 5, where K = 0 and K = 1 rows occur; the
+    # fused gain must equal the |h|^2-temporary reference to 1e-14 of the
+    # masked sum |h_pd|^2, and rows with an all-zero masked h_sd give 0
+    seen_k = set()
+    for M in (2, 3, 4, 6, 10, 40):
+        cfg = SystemConfig(M=M, gamma_p=5.0, gamma_s=30.0, R=0.5)
+        block = draw_realizations(cfg, 4096, substream(12, M))
+        mask = decode_mask(cfg, block)
+        h_pd, h_sd = block.h_relay_pd, block.h_relay_sd.copy()
+        h_sd[::7] = np.where(mask[::7], 0.0, h_sd[::7])   # null where it counts
+        alpha = effective_gain(h_pd, h_sd, mask)
+        ref = effective_gain_ref(h_pd, h_sd, mask)
+        a2 = np.sum(np.abs(h_pd) ** 2, axis=1, where=mask, initial=0.0)
+        assert np.all(np.abs(alpha - ref) <= 1e-14 * a2), M
+        null_sd = ~np.any(mask & (h_sd != 0), axis=1)
+        assert np.all(alpha[null_sd] == 0.0) and np.all(ref[null_sd] == 0.0), M
+        seen_k.update(mask.sum(axis=1).tolist())
+    assert {0, 1} <= seen_k
 
 
 def test_alpha_gamma_law_moments():

@@ -12,6 +12,21 @@ def _cfg(case="direct", M=4, R=0.5):
     return SystemConfig(M=M, gamma_p=50.0, gamma_s=30.0, R=R, case=case)
 
 
+POWER_FIELDS = ("h_p_pd", "h_p_relay", "h_v_pd", "h_v_sd")
+
+
+def _raw(cfg, n, rng):
+    """The two raw arrays a block is made of, drawn in order from rng.
+
+    Exp(1) power gains [p->pd, p->relay_0..relay_{M-2}, v->pd, v->sd], then
+    normal (re, im) pairs for [relay->pd | relay->sd], before the sqrt(1/2)
+    scaling.
+    """
+    e = rng.standard_exponential((n, cfg.M + 2))
+    z = rng.standard_normal((n, 2 * (cfg.M - 1), 2))
+    return e, z
+
+
 def test_substream_reproducible_and_distinct():
     a = substream(42, 0).standard_normal(8)
     b = substream(42, 0).standard_normal(8)
@@ -31,14 +46,28 @@ def test_block_shapes_and_dtype():
     assert block.h_relay_sd.shape == (100, 4)
     assert block.h_v_pd.shape == (100,)
     assert block.h_v_sd.shape == (100,)
-    assert block.h_p_relay.dtype == np.complex128
+    # links that enter only through |h|^2 hold that power gain; the relay
+    # vectors the beamformer projects stay complex
+    for name in POWER_FIELDS:
+        assert getattr(block, name).dtype == np.float64, name
+        assert np.all(getattr(block, name) >= 0.0), name
+    for name in ("h_relay_pd", "h_relay_sd"):
+        assert getattr(block, name).dtype == np.complex128, name
     assert len(block) == 100
+
+
+def test_power_gains_are_exp1_ks():
+    # |h|^2 of a CN(0, 1) link is Exp(1); same bound as criterion 4's KS test
+    block = draw_realizations(_cfg(M=4), 50_000, substream(11, 0))
+    for name in POWER_FIELDS:
+        d = stats.kstest(getattr(block, name).ravel(), "expon").statistic
+        assert d < 0.01, (name, d)
 
 
 def test_unit_variance_zero_mean():
     cfg = _cfg(M=4)
     block = draw_realizations(cfg, 400_000, substream(7, 0))
-    h = block.h_p_relay.ravel()
+    h = block.h_relay_pd.ravel()
     # |h|^2 is Exp(1): mean 1 with sd 1, so the sample mean has sd ~9e-4
     assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 4e-3
     assert abs(np.mean(h.real)) < 4e-3 and abs(np.mean(h.imag)) < 4e-3
@@ -58,15 +87,25 @@ def test_no_direct_link_zeroes_only_the_direct_channel():
         assert np.array_equal(getattr(b1, name), getattr(b2, name))
 
 
-def test_single_draw_matches_block_head():
-    # a single slot is a block of one, and it is the head of a longer block
-    # drawn from the same stream
-    cfg = _cfg(M=3)
-    one = draw_realizations(cfg, 1, substream(9, 5))
-    block = draw_realizations(cfg, 8, substream(9, 5))
-    assert len(one) == 1
-    for name in ("h_p_pd", "h_p_relay", "h_relay_pd", "h_relay_sd", "h_v_pd", "h_v_sd"):
-        assert np.array_equal(getattr(one, name), getattr(block, name)[:1]), name
+def test_block_is_the_two_raw_draws():
+    # bitwise: a block (a single slot is n = 1) is one Exp(1) array and then
+    # one normal array from the same substream, column by column
+    for case, M, n in (("direct", 2, 1), ("direct", 3, 8), ("nodirect", 6, 64),
+                       ("direct", 40, 5)):
+        cfg = _cfg(case, M=M)
+        block = draw_realizations(cfg, n, substream(9, 5))
+        e, z = _raw(cfg, n, substream(9, 5))
+        m = M - 1
+        direct = e[:, 0] if case == "direct" else np.zeros(n)
+        assert np.array_equal(block.h_p_pd, direct)
+        assert np.array_equal(block.h_p_relay, e[:, 1 : 1 + m])
+        assert np.array_equal(block.h_v_pd, e[:, 1 + m])
+        assert np.array_equal(block.h_v_sd, e[:, 2 + m])
+        s = np.sqrt(0.5)
+        for name, cols in (("h_relay_pd", slice(0, m)), ("h_relay_sd", slice(m, 2 * m))):
+            h = getattr(block, name)
+            assert np.array_equal(h.real, z[:, cols, 0] * s), (case, M, name)
+            assert np.array_equal(h.imag, z[:, cols, 1] * s), (case, M, name)
 
 
 def test_form_decoding_set_matches_rule():
@@ -75,24 +114,30 @@ def test_form_decoding_set_matches_rule():
         cfg = _cfg(case, M=M, R=R)
         block = draw_realizations(cfg, 64, substream(8, 0))
         thr = 2.0 ** cfg.broadcast_rate() - 1.0
-        expect = cfg.gamma_p * np.abs(block.h_p_relay) ** 2 >= thr
+        e, _ = _raw(cfg, 64, substream(8, 0))
         mask = decode_mask(cfg, block)
         assert mask.shape == (64, M - 1)
-        assert np.array_equal(mask, expect)
+        for i in range(64):
+            expect = [cfg.gamma_p * e[i, 1 + k] >= thr for k in range(M - 1)]
+            assert mask[i].tolist() == expect, i
         assert 0 < mask.sum() < mask.size
 
 
 def test_decode_mask_agrees_with_decoding_set():
-    # the decoding set of slot i, formed from that slot alone, is row i of
-    # the block's mask
+    # the decoding set of slot i, formed from that slot's raw power gains
+    # alone, is row i of the block's mask; a one-slot block gives its one row
     cfg = _cfg(M=5, R=1.0)
+    thr = 2.0 ** cfg.broadcast_rate() - 1.0
     block = draw_realizations(cfg, 64, substream(8, 0))
     mask = decode_mask(cfg, block)
-    rng = substream(8, 0)
+    e, _ = _raw(cfg, 64, substream(8, 0))
     for i in range(64):
-        slot = decode_mask(cfg, draw_realizations(cfg, 1, rng))
-        assert slot.shape == (1, 4)
-        assert np.array_equal(np.flatnonzero(slot[0]), np.flatnonzero(mask[i]))
+        relays = [k for k in range(4) if cfg.gamma_p * e[i, 1 + k] >= thr]
+        assert np.flatnonzero(mask[i]).tolist() == relays, i
+    slot = decode_mask(cfg, draw_realizations(cfg, 1, substream(8, 1)))
+    e1, _ = _raw(cfg, 1, substream(8, 1))
+    assert slot.shape == (1, 4)
+    assert slot[0].tolist() == [cfg.gamma_p * x >= thr for x in e1[0, 1:5]]
 
 
 def test_pmf_is_binomial():

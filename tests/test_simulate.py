@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from cogrelay import (BLOCK_SLOTS, SystemConfig, decoding_set_pmf,
                       draw_realizations, estimate_outage,
                       estimate_schedule_throughput, outage_probability,
                       secondary_success_prob, solve_assignment, substream)
+from cogrelay.simulate import _blocks
 
 
 def _cfg(case="direct", M=4, R=0.5, gamma_p=50.0):
@@ -14,16 +16,39 @@ def _cfg(case="direct", M=4, R=0.5, gamma_p=50.0):
 
 
 def test_slot_stream_is_block_stream():
-    # a single slot is a block of one: sequential one-slot draws on one
-    # stream replay that stream's block row for row, because normals fill
-    # in C order
+    # a single slot is a block of one, and each block consumes exactly its
+    # two raw draws: Exp(1) power gains, then the relay normals.  Sequential
+    # draws on one stream (one-slot or not, as the schedule's uniforms after
+    # the channel) therefore read that stream's raw draws back to back.
     cfg = _cfg(M=3)
     rng = substream(77, 0)
-    slots = [draw_realizations(cfg, 1, rng) for _ in range(5)]
-    block = draw_realizations(cfg, 5, substream(77, 0))
-    for name in ("h_p_pd", "h_p_relay", "h_relay_pd", "h_relay_sd", "h_v_pd", "h_v_sd"):
-        rows = np.concatenate([getattr(slot, name) for slot in slots])
-        assert np.array_equal(rows, getattr(block, name)), name
+    slots = [draw_realizations(cfg, n, rng) for n in (1, 1, 3, 1)]
+    tail = rng.random(4)
+    ref = substream(77, 0)
+    s = np.sqrt(0.5)
+    for slot in slots:
+        n = len(slot)
+        e = ref.standard_exponential((n, 5))
+        z = ref.standard_normal((n, 4, 2))
+        assert np.array_equal(slot.h_p_pd, e[:, 0])
+        assert np.array_equal(slot.h_p_relay, e[:, 1:3])
+        assert np.array_equal(slot.h_v_pd, e[:, 3])
+        assert np.array_equal(slot.h_v_sd, e[:, 4])
+        h = slot.h_relay_pd, slot.h_relay_sd
+        assert np.array_equal(np.concatenate(h, axis=1).real, z[..., 0] * s)
+        assert np.array_equal(np.concatenate(h, axis=1).imag, z[..., 1] * s)
+    assert np.array_equal(tail, ref.random(4))
+
+
+def test_blocks_are_lazy():
+    # the block plan is a generator: a run of 10^15 slots yields its first
+    # block without building the other 6e10 (checked first, so that a
+    # list-building plan fails here instead of filling memory)
+    assert inspect.isgeneratorfunction(_blocks)
+    blocks = _blocks(10**15)
+    assert next(blocks) == (0, BLOCK_SLOTS)
+    assert list(_blocks(2 * BLOCK_SLOTS + 5)) == [
+        (0, BLOCK_SLOTS), (1, BLOCK_SLOTS), (2, 5)]
 
 
 def test_estimate_outage_deterministic_and_worker_invariant():
