@@ -8,8 +8,8 @@ validation, diversity-multiplexing tradeoff curves, and the QoS-feasible
 TDMA assignment, plus a CLI driver for the standard experiments.
 """
 from .analytic import (InvalidCase, OutageBreakdown, QuadratureFailure,
-                       case1_outage, case1_outage_highsnr, case2_outage,
-                       case2_outage_highsnr, outage_highsnr, outage_probability)
+                       case1_outage, case2_outage, outage_highsnr,
+                       outage_probability)
 from .beamform import (BeamformerResult, DegenerateChannel, effective_gain,
                        optimal_weights)
 from .channel import (ChannelBlock, decode_mask, decoding_set_pmf,
@@ -32,8 +32,7 @@ __all__ = [
     "InvalidCase", "OutageBreakdown", "OutageEstimate", "OutageSimulation",
     "PrimaryInfeasible", "QosSolution", "QuadratureFailure",
     "ScheduleEstimate", "SecondaryInfeasible", "SystemConfig", "analytic_dmt",
-    "case1_outage", "case1_outage_highsnr", "case2_outage",
-    "case2_outage_highsnr", "decode_mask", "decoding_set_pmf",
+    "case1_outage", "case2_outage", "decode_mask", "decoding_set_pmf",
     "draw_realizations", "effective_gain", "empirical_diversity",
     "estimate_outage", "estimate_schedule_throughput", "max_diversity",
     "max_lambda_k", "multiplexing_limit", "optimal_weights", "outage_highsnr",

@@ -222,21 +222,6 @@ def case1_outage(cfg: SystemConfig) -> OutageBreakdown:
     return _breakdown(_case1_nu1(Q, cfg.gamma_s, pmf), nu2)
 
 
-def case1_outage_highsnr(cfg: SystemConfig) -> float:
-    """Leading Q^(M-1) term of the case-1 outage as gamma_p grows.
-
-    Sums C(M-1,K) E[(1+phi)^{K-1}]/K! Q^{M-1} over K = 1..M-1 (K = 1 gives
-    the (M-1) Q^{M-1} of a lone decoder).  Each term is formed in logs: for
-    large M the moment overflows while Q^{M-1} underflows.
-    """
-    if cfg.case is not Case.DIRECT_LINK:
-        raise InvalidCase("case1_outage_highsnr needs cfg.case = DIRECT_LINK")
-    m = cfg.M - 1
-    log_q = _log_pow(_threshold_q(cfg), m)
-    log_s = _log_moments(m - 1, cfg.gamma_s)
-    return sum(_exp(log(comb(m, K) / K) + log_s[K - 1] + log_q) for K in range(1, cfg.M))
-
-
 # --- case 2: no direct link ----------------------------------------------
 
 
@@ -274,28 +259,7 @@ def case2_outage(cfg: SystemConfig) -> OutageBreakdown:
     return _breakdown(nu1, nu2)
 
 
-def case2_outage_highsnr(cfg: SystemConfig) -> float:
-    """Leading Q^(M-2) term of the case-2 outage as gamma_p grows.
-
-    Keeps every decoding-set size: the K-relay branch contributes
-    C(M-1,K) Q_b^{M-1-K} Q_f^{K-1} E[(1+phi)^{K-1}]/(K-1)! and K < 2
-    contributes (M-1) Q_b^{M-2}, with Q_b and Q_f the broadcast- and
-    forward-phase thresholds.  Every term carries gamma^-(M-2) and is formed
-    in logs, so large-M moments cannot overflow against small Q powers.
-    """
-    if cfg.case is not Case.NO_DIRECT_LINK:
-        raise InvalidCase("case2_outage_highsnr needs cfg.case = NO_DIRECT_LINK")
-    q_b = snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p
-    q_f = snr_threshold(cfg.forward_rate()) / cfg.gamma_p
-    m = cfg.M - 1
-    log_s = _log_moments(m - 1, cfg.gamma_s)
-    return sum(
-        _exp(log(comb(m, K)) + _log_pow(q_b, m - K) + _log_pow(q_f, K - 1) + log_s[K - 1])
-        for K in range(1, cfg.M)
-    )
-
-
-# --- case dispatchers -----------------------------------------------------
+# --- both topologies -----------------------------------------------------
 
 
 def outage_probability(cfg: SystemConfig) -> OutageBreakdown:
@@ -307,8 +271,21 @@ def outage_probability(cfg: SystemConfig) -> OutageBreakdown:
 
 
 def outage_highsnr(cfg: SystemConfig) -> float:
-    if cfg.case is Case.DIRECT_LINK:
-        return case1_outage_highsnr(cfg)
-    if cfg.case is Case.NO_DIRECT_LINK:
-        return case2_outage_highsnr(cfg)
-    raise InvalidCase(f"unknown case {cfg.case!r}")
+    """Leading term of the primary outage as gamma_p grows, for either topology.
+
+    sum_{K=1..M-1} C(M-1,K) Q_b^{M-1-K} Q_f^{K-1+d} E[(1+phi)^{K-1}]/((K-1)! K^d),
+    with Q_b and Q_f the broadcast- and forward-phase thresholds.  The direct
+    link (d = 1, Q_b = Q_f = Q) adds one power of Q, so the sum is of order
+    gamma^-(M-1) with it and gamma^-(M-2) without.  Terms are formed in logs:
+    for large M the moments overflow while the Q powers underflow.
+    """
+    d = 1 if cfg.case is Case.DIRECT_LINK else 0
+    q_b = snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p
+    q_f = snr_threshold(cfg.forward_rate()) / cfg.gamma_p
+    m = cfg.M - 1
+    log_s = _log_moments(m - 1, cfg.gamma_s)
+    return sum(
+        _exp(log(comb(m, K) / K**d) + _log_pow(q_b, m - K) + _log_pow(q_f, K - 1 + d)
+             + log_s[K - 1])
+        for K in range(1, cfg.M)
+    )

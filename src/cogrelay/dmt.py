@@ -13,7 +13,8 @@ from .simulate import estimate_outage
 
 
 class DegenerateFit(Exception):
-    """Raised when an outage sample is zero/invalid so no log-log slope exists."""
+    """Raised when no log-log slope can be fitted: an outage sample is zero or
+    invalid, or a Monte Carlo fit would need more than _MC_MAX_SLOTS slots."""
 
 
 class DiversitySource(str, Enum):
@@ -25,6 +26,7 @@ class DiversitySource(str, Enum):
 # SNR the closed form is the only practical source.
 _MC_GAMMA_CAP = 1.0e4
 _MC_MIN_TRIALS = 1_000_000
+_MC_MAX_SLOTS = 10**8     # slots per fit: about 80 s on one core at 1.26 Mslot/s
 
 
 @dataclass(frozen=True)
@@ -77,17 +79,19 @@ def empirical_diversity(cfg: SystemConfig, r: float, gamma_grid,
     if source is DiversitySource.MONTE_CARLO and grid[-1] > _MC_GAMMA_CAP:
         raise ValueError(f"MonteCarlo source is capped at gamma <= {_MC_GAMMA_CAP:g}")
 
-    nus = []
-    for i, g in enumerate(grid):
-        rate = cfg.R if r == 0.0 else r * log2(g)
-        cfg_i = replace(cfg, gamma_p=float(g), R=rate)
-        nu = outage_probability(cfg_i).nu
-        if source is DiversitySource.MONTE_CARLO:
-            trials = int(max(_MC_MIN_TRIALS, 100.0 / max(nu, 1e-12)))
-            nu = estimate_outage(cfg_i, trials, seed=seed + i, workers=workers).primary.p_hat
+    cfgs = [replace(cfg, gamma_p=float(g), R=cfg.R if r == 0.0 else r * log2(g))
+            for g in grid]
+    nus = [outage_probability(c).nu for c in cfgs]
+    if source is DiversitySource.MONTE_CARLO:
+        trials = [int(max(_MC_MIN_TRIALS, 100.0 / max(nu, 1e-12))) for nu in nus]
+        if sum(trials) > _MC_MAX_SLOTS:
+            raise DegenerateFit(f"Monte Carlo fit plans {sum(trials):.3g} slots, "
+                                f"over the budget of {_MC_MAX_SLOTS:.0e}")
+        nus = [estimate_outage(c, n, seed=seed + i, workers=workers).primary.p_hat
+               for i, (c, n) in enumerate(zip(cfgs, trials))]
+    for g, nu in zip(grid, nus):
         if not nu > 0.0:
             raise DegenerateFit(f"outage {nu} at gamma={g:g} admits no log-log fit")
-        nus.append(nu)
 
     top = slice(grid.size // 2, None)
     slope = np.polyfit(np.log(grid[top]), np.log(nus)[top], 1)[0]

@@ -1,16 +1,17 @@
 """Full-protocol Monte Carlo: the ground-truth oracle for the closed forms.
 
-Slots are simulated in fixed blocks of 16384, each block drawn from its own
-counter-jumped substream of the master seed.  Workers only ever change how
-blocks are distributed, never what any block contains, so aggregate counts
-are bit-identical for any worker count.
+Slots are simulated in fixed blocks of 16384, each drawn from its own
+counter-jumped substream of the master seed.  Each of W workers folds the
+strided share w, w + W, w + 2W, ... of the blocks as it draws them (W is at
+most the block count), so memory does not grow with the trial count.  Workers
+never change what a block contains, so counts are bit-identical for any W.
 """
 from __future__ import annotations
 
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from math import sqrt
 
 import numpy as np
@@ -68,9 +69,9 @@ def _slot_events(cfg: SystemConfig, block: ChannelBlock):
     return primary_ok, secondary_ok, k
 
 
-def _blocks(trials: int):
-    """(index, n_slots) for each fixed-size block covering `trials` slots, lazily."""
-    for b in range(-(-trials // BLOCK_SLOTS)):
+def _blocks(trials: int, first: int = 0, step: int = 1):
+    """(index, n_slots) of blocks first, first + step, ... of `trials` slots, lazily."""
+    for b in range(first, -(-trials // BLOCK_SLOTS), step):
         yield b, min(BLOCK_SLOTS, trials - b * BLOCK_SLOTS)
 
 
@@ -101,18 +102,21 @@ def _schedule_block(args):
     return succ, int(np.count_nonzero(primary_ok))
 
 
+def _fold(task, head: tuple, trials: int, first: int, step: int) -> tuple:
+    """Elementwise sum of task(head + block) over _blocks(trials, first, step)."""
+    return reduce(_add, (task(head + b) for b in _blocks(trials, first, step)))
+
+
 def _sum_blocks(task, head: tuple, trials: int, workers: int) -> tuple:
-    """Elementwise sum of task(head + (index, n_slots)) over the blocks, folded
-    as they arrive so memory does not grow with `trials` (integer counts: exact).
-    """
+    """_fold over every block: in-process, or one strided share per process."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    args = (head + b for b in _blocks(trials))
-    if workers <= 1:
-        return reduce(_add, map(task, args))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, -(-trials // BLOCK_SLOTS) // (workers * 4))
-        return reduce(_add, pool.map(task, args, chunksize=chunk))
+    shares = max(1, min(workers, -(-trials // BLOCK_SLOTS)))
+    share = partial(_fold, task, head, trials, step=shares)
+    if shares == 1:
+        return share(0)
+    with ProcessPoolExecutor(max_workers=shares) as pool:
+        return reduce(_add, pool.map(share, range(shares)))
 
 
 def _estimate(count: int, trials: int) -> OutageEstimate:
@@ -128,12 +132,8 @@ def estimate_outage(cfg: SystemConfig, trials: int, seed: int = 0,
     wall-clock only.
     """
     p_out, s_out, k_counts = _sum_blocks(_outage_block, (cfg, seed), trials, workers)
-    return OutageSimulation(
-        primary=_estimate(p_out, trials),
-        secondary=_estimate(s_out, trials),
-        k_counts=k_counts,
-        trials=trials,
-    )
+    return OutageSimulation(primary=_estimate(p_out, trials), secondary=_estimate(s_out, trials),
+                            k_counts=k_counts, trials=trials)
 
 
 def estimate_schedule_throughput(cfg: SystemConfig, omega, trials: int,

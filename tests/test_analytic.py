@@ -17,8 +17,7 @@ from scipy import integrate, special
 
 import oracles
 from cogrelay import (Case, InvalidCase, SystemConfig, case1_outage,
-                      case1_outage_highsnr, case2_outage,
-                      case2_outage_highsnr, decoding_set_pmf, effective_gain,
+                      case2_outage, decoding_set_pmf, effective_gain,
                       outage_highsnr, outage_probability, snr_threshold,
                       substream)
 from cogrelay import analytic
@@ -225,15 +224,15 @@ def test_highsnr_hand_values():
     # M=3, case 1: [C(2,2) E[1+phi]/2! + (M-1)] Q^2 = (31/2 + 2) Q^2 at gs=30
     cfg = _cfg(M=3, gamma_p=1e3, R=0.5)
     q = 1.0 / 1e3
-    assert math.isclose(case1_outage_highsnr(cfg), 17.5 * q * q, rel_tol=1e-12)
+    assert math.isclose(outage_highsnr(cfg), 17.5 * q * q, rel_tol=1e-12)
     # M=4, case 2, zeta=1/2, R=0.3: equal thresholds q = (2^0.6 - 1)/g and
     # 3q^2 + 3q^2 E[1+phi] + q^2 E[(1+phi)^2]/2 with E-moments 31 and 1861
     cfg2 = _cfg(M=4, gamma_p=1e3, R=0.3, case="nodirect", zeta=0.5)
     qb = (2.0 ** 0.6 - 1.0) / 1e3
     hand = (3.0 + 3.0 * 31.0 + 1861.0 / 2.0) * qb * qb
-    assert math.isclose(case2_outage_highsnr(cfg2), hand, rel_tol=1e-12)
+    assert math.isclose(outage_highsnr(cfg2), hand, rel_tol=1e-12)
     # M=2, case 2: no pair of relays ever exists, so the asymptote is 1
-    assert case2_outage_highsnr(_cfg(M=2, case="nodirect")) == 1.0
+    assert outage_highsnr(_cfg(M=2, case="nodirect")) == 1.0
 
 
 def test_highsnr_ratio_converges_to_one():
@@ -427,14 +426,8 @@ def test_case_dispatch_errors():
         case1_outage_given_phi(c2, 1.0)
     with pytest.raises(InvalidCase):
         case2_outage_given_phi(c1, 1.0)
-    with pytest.raises(InvalidCase):
-        case1_outage_highsnr(c2)
-    with pytest.raises(InvalidCase):
-        case2_outage_highsnr(c1)
     assert outage_probability(c1).nu == case1_outage(c1).nu
     assert outage_probability(c2).nu == case2_outage(c2).nu
-    assert outage_highsnr(c1) == case1_outage_highsnr(c1)
-    assert outage_highsnr(c2) == case2_outage_highsnr(c2)
 
 
 # ------------------------------------------------------------- case-1 closed form
@@ -507,7 +500,7 @@ def test_case1_total_over_m_range():
 def test_case1_deep_tail_highsnr_ratio():
     for M in (3, 10, 40):
         cfg = _cfg(M=M, gamma_p=1e8, gamma_s=30.0, R=0.5)
-        ratio = case1_outage(cfg).nu / case1_outage_highsnr(cfg)
+        ratio = case1_outage(cfg).nu / outage_highsnr(cfg)
         assert abs(ratio - 1.0) <= 0.01, (M, ratio)
 
 

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -110,6 +112,16 @@ def test_library_error_exits_3_without_traceback(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("cogrelay: DegenerateFit") and proc.stderr.count("\n") == 1
+
+
+def test_dmt_monte_carlo_beyond_budget_exits_3(tmp_path, capsys, monkeypatch):
+    # the default grid would draw 8.9e12 slots; the budget stops it before any
+    from test_dmt import _no_draws
+    monkeypatch.setattr("cogrelay.dmt.estimate_outage", _no_draws)
+    code, _ = _run(tmp_path, "--experiment", "dmt", "--dmt_source", "monte_carlo")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cogrelay: DegenerateFit") and err.count("\n") == 1
 
 
 def test_outage_curve_at_former_quadrature_failures(tmp_path):
@@ -303,6 +315,26 @@ def test_fig2_structure(tmp_path):
             assert float(r[-1]) == 0.5
         elif r[4] == "True":
             assert 0.0 < float(r[-1]) < 1.0
+
+
+def test_test_imports_are_declared():
+    # every third-party module the suite imports is a dependency or in the
+    # `test` extra, so `pip install -e '.[test]'` is enough to run it
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    reqs = project["dependencies"] + project.get("optional-dependencies", {}).get("test", [])
+    declared = {re.split(r"[\s;<>=!~\[]", r, maxsplit=1)[0] for r in reqs}
+    imported = set()
+    for path in (root / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = {m for m in imported - set(sys.stdlib_module_names)
+                   if m not in ("cogrelay", "oracles") and not m.startswith("test_")}
+    assert third_party <= declared, sorted(third_party - declared)
 
 
 def _declared_console_script():

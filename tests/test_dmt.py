@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cogrelay import dmt
 from cogrelay import (Case, DegenerateFit, DiversitySource, SystemConfig,
                       analytic_dmt, empirical_diversity, max_diversity,
                       multiplexing_limit, outage_probability)
@@ -104,3 +105,14 @@ def test_degenerate_fit():
     # R = 0 makes the outage identically zero: no slope exists
     with pytest.raises(DegenerateFit):
         empirical_diversity(_cfg(M=3, R=0.0), 0.0, np.logspace(3, 5, 5))
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("estimate_outage was called")
+
+
+def test_monte_carlo_fit_beyond_budget_raises_before_drawing(monkeypatch):
+    # the CLI's default Monte Carlo grid plans 3.1e11 slots for its r = 0 fit
+    monkeypatch.setattr(dmt, "estimate_outage", _no_draws)
+    with pytest.raises(DegenerateFit, match="slots"):
+        empirical_diversity(_cfg(), 0.0, np.logspace(2, 4, 7), source="monte_carlo")

@@ -8,6 +8,7 @@ from cogrelay import (BLOCK_SLOTS, SystemConfig, decoding_set_pmf,
                       draw_realizations, estimate_outage,
                       estimate_schedule_throughput, outage_probability,
                       secondary_success_prob, solve_assignment, substream)
+from cogrelay import simulate
 from cogrelay.simulate import _blocks
 
 
@@ -55,13 +56,58 @@ def test_estimate_outage_deterministic_and_worker_invariant():
     cfg = _cfg("nodirect", M=4)
     n = 3 * BLOCK_SLOTS + 1234   # force a ragged final block
     a = estimate_outage(cfg, n, seed=5, workers=1)
-    b = estimate_outage(cfg, n, seed=5, workers=3)
     c = estimate_outage(cfg, n, seed=5, workers=1)
-    assert a.primary.p_hat == b.primary.p_hat == c.primary.p_hat
-    assert a.secondary.p_hat == b.secondary.p_hat
-    assert np.array_equal(a.k_counts, b.k_counts)
+    assert a.primary.p_hat == c.primary.p_hat
+    for workers in (3, 8):      # 8: more workers than the 4 blocks
+        b = estimate_outage(cfg, n, seed=5, workers=workers)
+        assert a.primary.p_hat == b.primary.p_hat
+        assert a.secondary.p_hat == b.secondary.p_hat
+        assert np.array_equal(a.k_counts, b.k_counts)
     d = estimate_outage(cfg, n, seed=6, workers=1)
     assert d.primary.p_hat != a.primary.p_hat
+
+
+class _FakePool:
+    """In-process stand-in for ProcessPoolExecutor that records what it is handed."""
+
+    seen = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.items = []
+        _FakePool.seen.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        self.items = list(zip(*iterables))
+        return [fn(*item) for item in self.items]
+
+
+def _count_slots(args):
+    _, index, n = args
+    return n, index
+
+
+def test_pool_gets_one_share_per_worker(monkeypatch):
+    # one strided share per process, never a task per block, and no process
+    # without a block: 10^3 blocks on 3 workers are 3 items, 2 blocks on 16
+    # workers start 2 processes
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(_FakePool, "seen", [])
+    trials = 1000 * BLOCK_SLOTS - 7
+    total = simulate._sum_blocks(_count_slots, ("head",), trials, 3)
+    assert total == simulate._sum_blocks(_count_slots, ("head",), trials, 1)
+    assert total == (trials, 999 * 1000 // 2)
+    pool, = _FakePool.seen
+    assert pool.max_workers == 3 and len(pool.items) == 3
+    simulate._sum_blocks(_count_slots, ("head",), 2 * BLOCK_SLOTS, 16)
+    assert _FakePool.seen[-1].max_workers == 2
+    assert len(_FakePool.seen[-1].items) == 2
 
 
 def test_estimate_fields():
