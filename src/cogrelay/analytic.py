@@ -22,16 +22,20 @@ values h_k = 2F1(1, k; n+2; a) with n + 1 - k >= 1.  They come from a
 three-term contiguous relation run outward from one seed in its contracting
 directions (`_case1_h`), not from `scipy.special.hyp2f1`, which on scipy
 1.17.1 returns inf or out-of-bound values for n >= 99 and a > 0.9.
+
+The Gamma(n, 1) beamforming gain enters both through Poisson terms: the pmf
+and the tails P(n, x) = Pr{Poisson(x) >= n}, the regularized incomplete
+gamma at integer order.  One routine, `_poisson`, gives both closed forms all
+of them from finite sums of positive terms, with no scipy.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import comb, exp, expm1, inf, lgamma, log
+from math import comb, exp, expm1, fsum, inf, lgamma, log, log1p, pi
 from sys import float_info
 
 import numpy as np
-from scipy import special
 
 from .channel import decoding_set_pmf
 from .config import Case, SystemConfig, snr_threshold
@@ -68,13 +72,58 @@ def _breakdown(nu1: float, nu2: float) -> OutageBreakdown:
     return OutageBreakdown(nu1=nu1, nu2=nu2, nu=nu)
 
 
-def poisson_tail(n: int, x: float) -> float:
-    """Pr{Poisson(x) >= n} = Pr{Gamma(n, 1) <= x}, robust at any magnitude."""
-    if n <= 0:
-        return 1.0
-    if x <= 0.0:
-        return 0.0
-    return float(special.gammainc(n, x))
+def _log_poisson_pmf(j: int, x: float) -> float:
+    """log(e^-x x^j/j!) for j >= 1.
+
+    Below j = 30 the direct form loses a few ulp of x.  From j = 30 on,
+    Stirling's series for log j! takes the large cancelling terms of
+    -x + j log x - log j! apart analytically (Loader 2000), which leaves
+    (j - x) + j log1p((x-j)/j): a few ulp of |x - j| instead, so near the
+    mode the pmf keeps full relative precision.
+    """
+    if j < 30:
+        return -x + j * log(x) - lgamma(j + 1)
+    r = 1.0 / (j * j)
+    stirlerr = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r / 1680))) / j
+    return (j - x) + j * log1p((x - j) / j) - 0.5 * log(2.0 * pi * j) - stirlerr
+
+
+def _poisson(n: int, x: float) -> tuple[list, list]:
+    """Poisson(x) pmf p_j and tails T_j = Pr{N >= j} = P(j, x), for j = 0..n.
+
+    p runs the recurrence p_j = p_{j-1} x/j up from e^-x.  Where e^-x is
+    subnormal or 0 (x > ~708) it runs outward from p at min(n, floor(x)),
+    the largest term in range, taken from `_log_poisson_pmf`; both
+    directions then shrink.  T_n is the positive series
+    p_n sum_k x^k/((n+1)...(n+k)) when x < n+1: its term ratio x/k is below
+    1/2 from k = 2n+2, so even run to k = 2n+63 it is bounded.
+    Otherwise T_n = 1 - sum_{j<n} p_j, which loses nothing, since T_n is then
+    above ~1/2.  Below n, T_j = T_{j+1} + p_j adds positive terms only.
+    """
+    if x == inf:
+        return [0.0] * (n + 1), [1.0] * (n + 1)
+    p = [0.0] * (n + 1)
+    p[0] = exp(-x)
+    j0 = 0 if p[0] >= float_info.min else min(n, int(x))
+    if j0:
+        p[j0] = exp(_log_poisson_pmf(j0, x))
+    for j in range(j0, 0, -1):
+        p[j - 1] = p[j] * j / x
+    for j in range(j0, n):
+        p[j + 1] = p[j] * x / (j + 1)
+    if x < n + 1:
+        term = series = 1.0
+        for k in range(n + 1, 2 * n + 64):
+            term *= x / k
+            if term < 1e-17 * series:
+                break             # below half an ulp: no later term moves the sum
+            series += term
+        tail = [p[n] * series]
+    else:
+        tail = [1.0 - fsum(p[:n])]
+    for j in range(n - 1, -1, -1):
+        tail.append(tail[-1] + p[j])
+    return p, tail[::-1]
 
 
 def _log_moments(n_max: int, gamma_s: float) -> list:
@@ -184,14 +233,11 @@ def _case1_nu1(Q: float, gamma_s: float, pmf) -> float:
     cg = Q * gamma_s
     b = 1.0 / (1.0 + cg)
     a = cg * b if cg <= 1.0 else 1.0 - b
-    pois = [exp(-Q)]
-    for j in range(1, len(pmf) - 2):
-        pois.append(pois[-1] * Q / j)
+    pois, tail = _poisson(len(pmf) - 1, Q)
     nu1 = 0.0
     for K in range(2, len(pmf)):
         n = K - 1
-        p = poisson_tail(n + 1, Q)
-        if p == 1.0:
+        if tail[K] == 1.0:
             nu1 += pmf[K]         # I_n is pinned between P(n+1, Q) and 1
             continue
         h = _case1_h(n, a, b)
@@ -199,7 +245,7 @@ def _case1_nu1(Q: float, gamma_s: float, pmf) -> float:
         for k in range(1, n + 1):
             apow *= a
             acc += pois[n - k] * apow * h[k]
-        nu1 += pmf[K] * (p + Q / (n + 1) * acc)
+        nu1 += pmf[K] * (tail[K] + Q / (n + 1) * acc)
     return nu1
 
 
@@ -242,20 +288,14 @@ def case2_outage(cfg: SystemConfig) -> OutageBreakdown:
     c = _threshold_q(cfg)
     pmf = decoding_set_pmf(cfg)
     nu2 = _nu_small_k(cfg, pmf)
-    if c == inf:
-        return _breakdown(sum(pmf[2:]), nu2)   # every A_n(inf) = 1
-    pois = exp(-c)              # pi_{n-1}
-    in_logs = pois < float_info.min     # c > ~708: e^-c is subnormal or 0, so use logs
+    pois, tail = _poisson(cfg.M - 2, c)
     cg = c * cfg.gamma_s
     b = 1.0 / (1.0 + cg)
     a = cg * b if cg <= 1.0 else 1.0 - b
     nu1 = s = 0.0
     for n in range(1, cfg.M - 1):
-        if in_logs:
-            pois = exp(-c + (n - 1) * log(c) - lgamma(n))
-        s = a * (s + pois)      # S_n = a (S_{n-1} + pi_{n-1})
-        pois *= c / n
-        nu1 += pmf[n + 1] * (poisson_tail(n, c) + s)
+        s = a * (s + pois[n - 1])     # S_n = a (S_{n-1} + pi_{n-1})
+        nu1 += pmf[n + 1] * (tail[n] + s)
     return _breakdown(nu1, nu2)
 
 

@@ -28,7 +28,7 @@ class Case(str, Enum):
 
 @dataclass(frozen=True)
 class SystemConfig:
-    M: int                      # number of secondary users (>= 2)
+    M: int                      # number of secondary users, 2..1024 (C(M-1, K) overflows from 1031)
     gamma_p: float              # primary transmit SNR
     gamma_s: float              # secondary transmit SNR
     R: float                    # primary target rate (bits/s/Hz, per full slot)
@@ -42,14 +42,14 @@ class SystemConfig:
             object.__setattr__(self, "M", operator.index(self.M))
         except TypeError:
             raise ValueError(f"M must be an integer, got {self.M!r}") from None
+        if not 2 <= self.M <= 1024:
+            raise ValueError(f"M must lie in 2..1024, got M={self.M}")
         if not isinstance(self.case, Case):
             object.__setattr__(self, "case", Case(self.case))
         if self.lambda_s is None:
             object.__setattr__(self, "lambda_s", (0.0,) * self.M)
         else:
             object.__setattr__(self, "lambda_s", tuple(float(x) for x in self.lambda_s))
-        if self.M < 2:
-            raise ValueError(f"need at least two secondary users, got M={self.M}")
         if not (math.isfinite(self.gamma_p) and math.isfinite(self.gamma_s)):
             raise ValueError(f"SNRs must be finite, got {self.gamma_p} and {self.gamma_s}")
         if self.gamma_p <= 0 or self.gamma_s <= 0:

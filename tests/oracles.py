@@ -16,11 +16,10 @@ from typing import Callable
 
 import mpmath
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from cogrelay.analytic import (InvalidCase, OutageBreakdown, QuadratureFailure,
-                               _breakdown, _nu_small_k, _threshold_q,
-                               poisson_tail)
+                               _breakdown, _nu_small_k, _threshold_q)
 from cogrelay.beamform import _DEGENERACY_FLOOR, DegenerateChannel
 from cogrelay.channel import decoding_set_pmf
 from cogrelay.config import Case, SystemConfig, snr_threshold
@@ -86,7 +85,7 @@ def _case1_bracket(K: int, Q: float, phi: float) -> float:
         if s >= m + 2:
             # log form keeps e^-Q * ((1+phi)/phi)^m overflow-free jointly
             scale = exp(-Q + m * log(1.0 + 1.0 / phi) - log(phi))
-            return scale * poisson_tail(m + 1, s)
+            return scale * special.gammainc(m + 1, s)
         # V(m, s) by its positive series: e^-s/(m+1) * (1 + s/(m+2) + ...)
         v = 1.0 / (m + 1)
         total_v = v
@@ -142,7 +141,7 @@ def case2_outage_given_phi(cfg: SystemConfig, phi: float) -> OutageBreakdown:
         raise InvalidCase("case2_outage_given_phi needs cfg.case = NO_DIRECT_LINK")
     x_zeta = snr_threshold(cfg.forward_rate()) * (1.0 + phi) / cfg.gamma_p
     pmf = decoding_set_pmf(cfg)
-    nu1 = sum(pmf[K] * poisson_tail(K - 1, x_zeta) for K in range(2, cfg.M))
+    nu1 = sum(pmf[K] * special.gammainc(K - 1, x_zeta) for K in range(2, cfg.M))
     return _breakdown(nu1, _nu_small_k(cfg, pmf))
 
 

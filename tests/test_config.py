@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cogrelay import Case, SystemConfig, snr_threshold
+from cogrelay import Case, SystemConfig, outage_highsnr, outage_probability, snr_threshold
 
 
 def test_defaults():
@@ -39,12 +39,24 @@ def test_lambda_s_normalized_to_floats():
     dict(lambda_p=1.01),
     dict(lambda_s=(0.1, 0.2)),           # wrong length for M=4
     dict(lambda_s=(0.1, 0.2, 0.3, 1.5)),  # out of [0, 1]
+    dict(M=1025),                        # past the largest M, 1024
+    dict(M=1025, case=Case.NO_DIRECT_LINK),
 ])
 def test_validation_rejects(kwargs):
     base = dict(M=4, gamma_p=50.0, gamma_s=30.0, R=0.5)
     base.update(kwargs)
     with pytest.raises(ValueError):
         SystemConfig(**base)
+
+
+@pytest.mark.parametrize("case", list(Case))
+def test_largest_m_is_total(case):
+    # the largest accepted M runs through both closed forms and the asymptote
+    for gamma_p in (0.01, 50.0, 1e8):
+        cfg = SystemConfig(M=1024, gamma_p=gamma_p, gamma_s=30.0, R=0.5, case=case)
+        out = outage_probability(cfg)
+        assert 0.0 <= out.nu1 <= 1.0 and 0.0 <= out.nu <= 1.0
+        assert outage_highsnr(cfg) >= 0.0
 
 
 def test_rates_direct_link():
