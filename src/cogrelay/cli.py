@@ -13,7 +13,8 @@ file.  Every CSV starts with a `#` stamp line recording the resolved keys (for
 the fixed-preset `fig1`, `fig2` and `validate`, only those they read), the
 seed and trial count (but not workers or output path), so a byte-identical
 file certifies a reproduced run.  `qos-sweep`, `fig1` and both `fig2` modes
-write the same QoS columns, one `QosSolution` per operating point.
+write the same QoS columns, one `QosSolution` per operating point, feasible
+or not, from one call of the QoS solver (`qos._row`, or `search_zeta`).
 
 Exit codes: 0 success, 1 validation failure (some |z| > 4), 2 bad config,
 3 library error (a numerical or model failure such as an unfittable DMT
@@ -33,10 +34,8 @@ import numpy as np
 from .analytic import InvalidCase, outage_highsnr, outage_probability
 from .beamform import DegenerateChannel
 from .config import Case, SystemConfig
-from .dmt import (DegenerateFit, DiversitySource, analytic_dmt, empirical_diversity,
-                  multiplexing_limit)
-from .qos import (PrimaryInfeasible, QosSolution, SecondaryInfeasible, max_lambda_k,
-                  search_zeta, solve_assignment)
+from .dmt import DegenerateFit, DiversitySource, analytic_dmt, empirical_diversity
+from .qos import QosSolution, _row, search_zeta
 from .simulate import estimate_outage
 
 
@@ -111,14 +110,10 @@ def parse_config_file(path: str) -> dict:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "True" if value else "False"
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, tuple):
         return ",".join(_fmt(v) for v in value)
     return str(value)
@@ -128,18 +123,6 @@ def _stamp(spec: ExperimentSpec, values: dict, keys: tuple) -> str:
     entries = {**{k: values[k] for k in keys},
                "experiment": spec.name, "seed": spec.seed, "trials": spec.trials}
     return "# " + " ".join(f"{k}={_fmt(entries[k])}" for k in sorted(entries))
-
-
-def _qos_point(cfg: SystemConfig, k0: int) -> QosSolution:
-    """The QoS solution at one operating point, or an infeasible marker."""
-    try:
-        return solve_assignment(cfg, k0)
-    except PrimaryInfeasible:
-        lam_max = 0.0
-    except SecondaryInfeasible:
-        lam_max = max_lambda_k(cfg, k0)
-    return QosSolution(feasible=False, omega=(nan,) * cfg.M, zeta=cfg.zeta,
-                       lambda_k_max=lam_max, slack=nan, k=k0)
 
 
 _QOS_HEADER = "lambda_k_max,feasible,omega,zeta"
@@ -217,22 +200,19 @@ def _run_dmt(spec: ExperimentSpec, values: dict, lines: list) -> int:
         grid = np.logspace(2, 4, 7)
     else:
         grid = np.logspace(2, 5, 7)
-    r_max = multiplexing_limit(spec.cfg)
-    curve = dict(analytic_dmt(spec.cfg, n + 1).points)
-    rs = np.linspace(0.0, r_max, n + 1)[:-1]   # empirical fit needs r < r_max
     lines.append("r,d_analytic,d_empirical")
-    for i, r in enumerate(rs):
-        d_a = curve[float(r)]
-        d_e = empirical_diversity(spec.cfg, float(r), grid, source=source,
+    # the empirical fit needs r < r_max, so the curve's last point is dropped
+    for i, (r, d_a) in enumerate(analytic_dmt(spec.cfg, n + 1).points[:-1]):
+        d_e = empirical_diversity(spec.cfg, r, grid, source=source,
                                   seed=spec.seed + i, workers=spec.workers)
-        lines.append(f"{_fmt(float(r))},{_fmt(d_a)},{_fmt(d_e)}")
+        lines.append(f"{_fmt(r)},{_fmt(d_a)},{_fmt(d_e)}")
     return 0
 
 
 def _run_qos_sweep(spec: ExperimentSpec, values: dict, lines: list) -> int:
     lines.append("R," + _QOS_HEADER)
     for R in _rates(values):
-        sol = _qos_point(replace(spec.cfg, R=R), values["k"] - 1)
+        sol = _row(replace(spec.cfg, R=R), values["k"] - 1)
         lines.append(f"{_fmt(R)},{_qos_cols(sol)}")
     return 0
 
@@ -241,7 +221,7 @@ def _run_fig1(spec: ExperimentSpec, values: dict, lines: list) -> int:
     lines.append("M,R," + _QOS_HEADER)
     for M in (4, 5, 6):
         for R in _rates(values):
-            sol = _qos_point(_fig_cfg(M, R, Case.DIRECT_LINK), 0)
+            sol = _row(_fig_cfg(M, R, Case.DIRECT_LINK), 0)
             lines.append(f"{M},{_fmt(R)},{_qos_cols(sol)}")
     return 0
 
@@ -253,7 +233,7 @@ def _run_fig2(spec: ExperimentSpec, values: dict, lines: list) -> int:
             sol = search_zeta(_fig_cfg(M, R, Case.NO_DIRECT_LINK), 0)
             lines.append(f"{M},{_fmt(R)},best,{_qos_cols(sol)}")
     for R in _rates(values):   # fixed even split shown for the largest network
-        sol = _qos_point(_fig_cfg(6, R, Case.NO_DIRECT_LINK), 0)
+        sol = _row(_fig_cfg(6, R, Case.NO_DIRECT_LINK), 0)
         lines.append(f"6,{_fmt(R)},half,{_qos_cols(sol)}")
     return 0
 

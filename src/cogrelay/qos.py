@@ -5,7 +5,9 @@ through with probability f = exp(-threshold/gamma_s), so its long-run
 throughput is omega_j * f.  Meeting targets lambda_j for every user while the
 primary stays below its outage budget is a pair of linear constraints; the
 closed-form optimum assigns omega_j = lambda_j / f to everyone except the
-tagged user k, which absorbs the rest of the frame.
+tagged user k, which absorbs the rest of the frame.  One solver, `_solve`,
+evaluates nu once per operating point; the public functions, each split of
+`search_zeta` and the CLI rows (`_row`) are views of it.
 """
 from __future__ import annotations
 
@@ -47,12 +49,36 @@ def _check_k(cfg: SystemConfig, k: int) -> int:
     return k
 
 
-def _check_primary(cfg: SystemConfig) -> None:
+def _solve(cfg: SystemConfig, k: int):
+    """(solution or None, lambda_k_max, error or None) at one operating point.
+
+    The error is what the raising API throws, the primary checked first.  It
+    builds no infeasible marker, as `search_zeta` discards most splits.
+    """
+    k = _check_k(cfg, k)
     nu = outage_probability(cfg).nu
     if cfg.lambda_p > 1.0 - nu:
-        raise PrimaryInfeasible(
-            f"primary needs throughput {cfg.lambda_p} but the link sustains {1.0 - nu:.6g}"
-        )
+        return None, 0.0, PrimaryInfeasible(
+            f"primary needs throughput {cfg.lambda_p} but the link sustains {1.0 - nu:.6g}")
+    f = secondary_success_prob(cfg)
+    total = fsum(cfg.lambda_s)
+    lambda_k_max = max(0.0, f - fsum(lam for j, lam in enumerate(cfg.lambda_s) if j != k))
+    if total > f:
+        return None, lambda_k_max, SecondaryInfeasible(
+            f"rate demands sum to {total:.6g} > service probability {f:.6g}")
+    omega = [lam / f if lam else 0.0 for lam in cfg.lambda_s]   # f may be 0
+    omega[k] = max(0.0, 1.0 - fsum(w for j, w in enumerate(omega) if j != k))
+    return QosSolution(feasible=True, omega=tuple(omega), zeta=cfg.zeta,
+                       lambda_k_max=lambda_k_max, slack=f - total, k=k), lambda_k_max, None
+
+
+def _row(cfg: SystemConfig, k: int) -> QosSolution:
+    """The solution, or the infeasible marker of a CLI row: NaN omega and slack,
+    zeta = cfg.zeta, lambda_k_max as max_lambda_k reports (0 if the primary fails)."""
+    sol, lambda_k_max, _ = _solve(cfg, k)
+    return sol if sol is not None else QosSolution(
+        feasible=False, omega=(nan,) * cfg.M, zeta=cfg.zeta, lambda_k_max=lambda_k_max,
+        slack=nan, k=int(k))
 
 
 def max_lambda_k(cfg: SystemConfig, k: int) -> float:
@@ -61,27 +87,18 @@ def max_lambda_k(cfg: SystemConfig, k: int) -> float:
     Raises PrimaryInfeasible when the primary outage budget already fails;
     clamps to 0 when the other users alone exhaust the frame.
     """
-    k = _check_k(cfg, k)
-    _check_primary(cfg)
-    others = fsum(lam for j, lam in enumerate(cfg.lambda_s) if j != k)
-    return max(0.0, secondary_success_prob(cfg) - others)
+    _, lambda_k_max, err = _solve(cfg, k)
+    if isinstance(err, PrimaryInfeasible):
+        raise err
+    return lambda_k_max
 
 
 def solve_assignment(cfg: SystemConfig, k: int) -> QosSolution:
     """Slot shares meeting every lambda_j with the leftover given to user k."""
-    k = _check_k(cfg, k)
-    _check_primary(cfg)
-    f = secondary_success_prob(cfg)
-    total = fsum(cfg.lambda_s)
-    if total > f:
-        raise SecondaryInfeasible(
-            f"rate demands sum to {total:.6g} > service probability {f:.6g}"
-        )
-    omega = [lam / f if lam else 0.0 for lam in cfg.lambda_s]   # f may be 0
-    omega[k] = max(0.0, 1.0 - fsum(w for j, w in enumerate(omega) if j != k))
-    others = fsum(lam for j, lam in enumerate(cfg.lambda_s) if j != k)
-    return QosSolution(feasible=True, omega=tuple(omega), zeta=cfg.zeta,
-                       lambda_k_max=max(0.0, f - others), slack=f - total, k=k)
+    sol, _, err = _solve(cfg, k)
+    if err is not None:
+        raise err
+    return sol
 
 
 def search_zeta(cfg: SystemConfig, k: int, grid_size: int = 999) -> QosSolution:
@@ -107,9 +124,8 @@ def search_zeta(cfg: SystemConfig, k: int, grid_size: int = 999) -> QosSolution:
             break
         if cfg.lambda_p > 1.0 - min(_nu_small_k(cfg_i, decoding_set_pmf(cfg_i)), 1.0):
             continue
-        try:
-            return solve_assignment(cfg_i, k)
-        except PrimaryInfeasible:
-            continue
+        sol = _solve(cfg_i, k)[0]
+        if sol is not None:
+            return sol
     return QosSolution(feasible=False, omega=(nan,) * cfg.M, zeta=nan,
                        lambda_k_max=0.0, slack=nan, k=k)

@@ -1,10 +1,11 @@
 """Full-protocol Monte Carlo: the ground-truth oracle for the closed forms.
 
-Slots are simulated in fixed blocks of 16384, each drawn from its own
-counter-jumped substream of the master seed.  Each of W workers folds the
-strided share w, w + W, w + 2W, ... of the blocks as it draws them (W is at
-most the block count), so memory does not grow with the trial count.  Workers
-never change what a block contains, so counts are bit-identical for any W.
+Slots are simulated in blocks of 16384 (2^20 // (M - 1) past M = 65, so that
+memory stays bounded in M), each drawn from its own counter-jumped substream
+of the master seed.  Each of W workers folds the strided share w, w + W,
+w + 2W, ... of the blocks as it draws them (W is at most the block count), so
+memory does not grow with the trial count.  Workers never change what a
+block contains, so counts are bit-identical for any W.
 """
 from __future__ import annotations
 
@@ -69,10 +70,10 @@ def _slot_events(cfg: SystemConfig, block: ChannelBlock):
     return primary_ok, secondary_ok, k
 
 
-def _blocks(trials: int, first: int = 0, step: int = 1):
+def _blocks(trials: int, first: int = 0, step: int = 1, block: int = BLOCK_SLOTS):
     """(index, n_slots) of blocks first, first + step, ... of `trials` slots, lazily."""
-    for b in range(first, -(-trials // BLOCK_SLOTS), step):
-        yield b, min(BLOCK_SLOTS, trials - b * BLOCK_SLOTS)
+    for b in range(first, -(-trials // block), step):
+        yield b, min(block, trials - b * block)
 
 
 def _add(total: tuple, result: tuple) -> tuple:
@@ -102,17 +103,17 @@ def _schedule_block(args):
     return succ, int(np.count_nonzero(primary_ok))
 
 
-def _fold(task, head: tuple, trials: int, first: int, step: int) -> tuple:
-    """Elementwise sum of task(head + block) over _blocks(trials, first, step)."""
-    return reduce(_add, (task(head + b) for b in _blocks(trials, first, step)))
+def _fold(task, head: tuple, trials: int, first: int, step: int, block=BLOCK_SLOTS) -> tuple:
+    """Elementwise sum of task(head + b) over _blocks(trials, first, step, block)."""
+    return reduce(_add, (task(head + b) for b in _blocks(trials, first, step, block)))
 
 
-def _sum_blocks(task, head: tuple, trials: int, workers: int) -> tuple:
+def _sum_blocks(task, head: tuple, trials: int, workers: int, block=BLOCK_SLOTS) -> tuple:
     """_fold over every block: in-process, or one strided share per process."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    shares = max(1, min(workers, -(-trials // BLOCK_SLOTS)))
-    share = partial(_fold, task, head, trials, step=shares)
+    shares = max(1, min(workers, -(-trials // block)))
+    share = partial(_fold, task, head, trials, step=shares, block=block)
     if shares == 1:
         return share(0)
     with ProcessPoolExecutor(max_workers=shares) as pool:
@@ -131,7 +132,8 @@ def estimate_outage(cfg: SystemConfig, trials: int, seed: int = 0,
     Deterministic in (cfg, trials, seed); the workers argument affects
     wall-clock only.
     """
-    p_out, s_out, k_counts = _sum_blocks(_outage_block, (cfg, seed), trials, workers)
+    p_out, s_out, k_counts = _sum_blocks(_outage_block, (cfg, seed), trials, workers,
+                                         min(BLOCK_SLOTS, 2**20 // (cfg.M - 1)))
     return OutageSimulation(primary=_estimate(p_out, trials), secondary=_estimate(s_out, trials),
                             k_counts=k_counts, trials=trials)
 
@@ -148,7 +150,8 @@ def estimate_schedule_throughput(cfg: SystemConfig, omega, trials: int,
     omega = tuple(float(w) for w in omega)
     if len(omega) != cfg.M or any(w < 0 for w in omega):
         raise ValueError("omega must be M nonnegative probabilities")
-    succ, p_ok = _sum_blocks(_schedule_block, (cfg, omega, seed), trials, workers)
+    succ, p_ok = _sum_blocks(_schedule_block, (cfg, omega, seed), trials, workers,
+                             min(BLOCK_SLOTS, 2**20 // (cfg.M - 1)))
     mu = succ / trials
     return ScheduleEstimate(
         mu_hat=mu,

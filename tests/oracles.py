@@ -298,8 +298,11 @@ def case2_nu1_mp(cfg: SystemConfig, dps: int = 40) -> float:
 
     A_n(c) = Pr{Poisson(c) >= n} + S_n, S_n = sum_{j=1..n} pi_{n-j}(c) a^j =
     a (S_{n-1} + pi_{n-1}), with a = c gamma_s/(1 + c gamma_s) and pi the
-    Poisson(c) pmf.  At `dps` digits e^-c cannot underflow, so this holds
-    where float e^-c is subnormal or 0.
+    Poisson(c) pmf.  The tail is mpmath's regularized lower incomplete gamma
+    P(n, c), not 1 - Pr{Poisson(c) < n}, which cancels once the tail is
+    below 10^-dps.  So every term is a positive product and the sum holds at
+    `dps` digits over the whole no-direct-link domain: where float e^-c is
+    subnormal or 0, and deep in the tail (nu1 ~ 1e-229 at M = 40).
     """
     mp = mpmath.mp
     with mpmath.workdps(dps):
@@ -310,12 +313,12 @@ def case2_nu1_mp(cfg: SystemConfig, dps: int = 40) -> float:
         q_b, c = threshold(R / cfg.zeta), threshold(R / (1 - mp.mpf(cfg.zeta)))
         L, L_bar = mp.exp(-q_b), -mp.expm1(-q_b)
         a = c * cfg.gamma_s / (1 + c * cfg.gamma_s)
-        pois, below, s, nu1 = mp.exp(-c), mp.mpf(0), mp.mpf(0), mp.mpf(0)
+        pois, s, nu1 = mp.exp(-c), mp.mpf(0), mp.mpf(0)
         for n in range(1, cfg.M - 1):            # n = K - 1; pois = pi_{n-1}
             s = a * (s + pois)
-            below += pois                        # Pr{Poisson(c) < n}
+            tail = mp.gammainc(n, 0, c, regularized=True)   # Pr{Poisson(c) >= n}
             K = n + 1
-            nu1 += mp.binomial(cfg.M - 1, K) * L**K * L_bar ** (cfg.M - 1 - K) * (1 - below + s)
+            nu1 += mp.binomial(cfg.M - 1, K) * L**K * L_bar ** (cfg.M - 1 - K) * (tail + s)
             pois *= c / n
         return float(nu1)
 

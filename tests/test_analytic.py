@@ -246,6 +246,25 @@ def test_highsnr_ratio_converges_to_one():
             assert abs(1.0 - ratios[0]) > abs(1.0 - ratios[-1])
 
 
+def test_highsnr_gap_never_grows_with_snr():
+    # |nu / outage_highsnr - 1| falls (or holds) from each decade of gamma_p
+    # to the next, from 1e2 up to 1e14 or until nu drops below 1e-290; the
+    # worst gap left in the last decade is about 1.2e-4
+    splits = [("direct", 0.5)] + [("nodirect", z) for z in (0.3, 0.5, 0.9)]
+    for (case, zeta), M, gs, R in itertools.product(
+            splits, (2, 3, 4, 6, 10, 40), (0.01, 1.0, 30.0, 1e4), (0.1, 0.5, 1.5)):
+        prev = None
+        for e in range(2, 15):
+            cfg = _cfg(M=M, gamma_p=10.0**e, gamma_s=gs, R=R, case=case, zeta=zeta)
+            nu = outage_probability(cfg).nu
+            if nu < 1e-290:
+                break
+            gap = abs(nu / outage_highsnr(cfg) - 1.0)
+            if prev is not None:
+                assert gap <= (1.0 + 1e-6) * prev + 1e-12, (cfg, prev, gap)
+            prev = gap
+
+
 def test_highsnr_finite_up_to_m170():
     # the plain-float sums gave inf from M = 60 at the first point, NaN at M = 170
     for case in ("direct", "nodirect"):
@@ -328,6 +347,13 @@ def test_case2_outage_where_poisson_weight_underflows():
                    case="nodirect", zeta=0.96)
         got, ref = case2_outage(cfg).nu1, case2_nu1_mp(cfg)
         assert abs(got - ref) <= 1e-12 * ref, (c, M, got, ref)
+    # deep in the tail, where Pr{Poisson(c) >= n} formed as 1 - Pr{< n}
+    # cancelled: the oracle gave 1.1e-41 for 5.985e-229 and 4.8e-178 for
+    # 1.298e-177
+    for gamma_p, R in ((10**6.5, 0.5), (1e8, 1.5)):
+        cfg = _cfg(M=40, gamma_p=gamma_p, gamma_s=0.01, R=R, case="nodirect", zeta=0.9)
+        got, ref = case2_outage(cfg).nu1, case2_nu1_mp(cfg)
+        assert abs(got - ref) <= 1e-12 * ref, (gamma_p, R, got, ref)
     # an infinite threshold leaves every A_n = 1 and no NaN
     cfg = _cfg(M=6, R=1.5, case="nodirect", zeta=0.999)
     assert case2_outage(cfg).nu1 == sum(decoding_set_pmf(cfg)[2:])

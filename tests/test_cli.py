@@ -297,7 +297,10 @@ def test_fig1_preset_claims(tmp_path):
         assert float(r4[2]) > float(r5[2]) > float(r6[2])
 
 
-@pytest.mark.parametrize("experiment, calls", [("fig1", 93), ("qos-sweep", 31)])
+@pytest.mark.parametrize("experiment, calls", [
+    ("fig1", 93), ("qos-sweep", 31),
+    ("qos-sweep --lambda_s 0.3,0.3,0.3,0.3", 31),   # secondaries fail on every row
+])
 def test_qos_rows_evaluate_outage_once_per_point(experiment, calls, tmp_path, monkeypatch):
     from cogrelay import qos
     seen = []
@@ -307,7 +310,7 @@ def test_qos_rows_evaluate_outage_once_per_point(experiment, calls, tmp_path, mo
         return outage_probability(cfg)
 
     monkeypatch.setattr(qos, "outage_probability", counted)
-    code, _ = _run(tmp_path, "--experiment", experiment)
+    code, _ = _run(tmp_path, "--experiment", *experiment.split())
     assert code == 0
     assert len(seen) == calls
 

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,37 @@ def test_pool_gets_one_share_per_worker(monkeypatch):
     simulate._sum_blocks(_count_slots, ("head",), 2 * BLOCK_SLOTS, 16)
     assert _FakePool.seen[-1].max_workers == 2
     assert len(_FakePool.seen[-1].items) == 2
+
+
+def test_block_size_shrinks_past_m65(monkeypatch):
+    # 16384 slots up to M = 65, then 2^20 // (M - 1): 16131 at M = 66
+    # in both estimators
+    seen = []
+
+    def sizes(result):
+        def task(args):
+            seen.append(args[-1])
+            return result(args[0].M)
+        return task
+
+    monkeypatch.setattr(simulate, "_outage_block", sizes(lambda M: (0, 0, np.zeros(M, int))))
+    monkeypatch.setattr(simulate, "_schedule_block", sizes(lambda M: (np.zeros(M, int), 0)))
+    for M, expected in ((65, [16384, 16384]), (66, [16131, 16131, 506])):
+        seen.clear()
+        estimate_outage(_cfg(M=M), 2 * BLOCK_SLOTS)
+        estimate_schedule_throughput(_cfg(M=M), [1.0 / M] * M, 2 * BLOCK_SLOTS)
+        assert seen == expected * 2, M
+
+
+def test_block_memory_is_bounded_in_m():
+    # one block of 16384 slots at M = 1024 traced about 1.2 GB
+    tracemalloc.start()
+    try:
+        estimate_outage(_cfg(M=1024), BLOCK_SLOTS, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6, peak
 
 
 def test_estimate_fields():
