@@ -62,11 +62,15 @@ class OutageBreakdown:
     nu: float     # nu1 + nu2 clipped into [0, 1]
 
 
+def _clip_unit(x: float) -> float:
+    return min(max(x, 0.0), 1.0)
+
+
 def _breakdown(nu1: float, nu2: float) -> OutageBreakdown:
     nu1, nu2 = float(nu1), float(nu2)     # the pmf makes them numpy scalars
     total = nu1 + nu2
     # each part, like their sum, can round a few ulp past 1
-    nu1, nu2, nu = (min(max(x, 0.0), 1.0) for x in (nu1, nu2, total))
+    nu1, nu2, nu = map(_clip_unit, (nu1, nu2, total))
     if nu != total:
         _log.debug("clipped nu1+nu2 = %r to %r", total, nu)
     return OutageBreakdown(nu1=nu1, nu2=nu2, nu=nu)
@@ -271,32 +275,34 @@ def case1_outage(cfg: SystemConfig) -> OutageBreakdown:
 # --- case 2: no direct link ----------------------------------------------
 
 
-def case2_outage(cfg: SystemConfig) -> OutageBreakdown:
-    """Primary outage without a direct link, averaged over phi in closed form.
+def _case2_nu1(c: float, gamma_s: float, pmf) -> float:
+    """nu1 = sum_{K>=2} pmf[K] A_{K-1}(c), A_n(c) = Pr{G_n < c(1+phi)}, G_n ~ Gamma(n, 1).
 
-    nu1 = sum_{K>=2} pmf[K] A_{K-1}(c) with A_n(c) = Pr{G_n < c(1+phi)},
-    G_n ~ Gamma(n, 1).  Conditioning on G_n instead of phi, Pr{phi >= G_n/c - 1}
-    = e^{-(G_n/c-1)^+/gamma_s}, and integrating against the Gamma density gives
+    Conditioning on G_n instead of phi, Pr{phi >= G_n/c - 1} =
+    e^{-(G_n/c-1)^+/gamma_s}, and integrating against the Gamma density gives
 
         A_n(c) = P(n, c) + S_n,  S_n = sum_{j=1..n} pi_{n-j}(c) a^j,
 
     with a = c gamma_s/(1 + c gamma_s) and pi the Poisson(c) pmf: A_n =
     E[a^{(n-N)^+}] for N ~ Poisson(c), a sum of positive terms.
     """
-    if cfg.case is not Case.NO_DIRECT_LINK:
-        raise InvalidCase("case2_outage needs cfg.case = NO_DIRECT_LINK")
-    c = _threshold_q(cfg)
-    pmf = decoding_set_pmf(cfg)
-    nu2 = _nu_small_k(cfg, pmf)
-    pois, tail = _poisson(cfg.M - 2, c)
-    cg = c * cfg.gamma_s
+    pois, tail = _poisson(len(pmf) - 2, c)
+    cg = c * gamma_s
     b = 1.0 / (1.0 + cg)
     a = cg * b if cg <= 1.0 else 1.0 - b
     nu1 = s = 0.0
-    for n in range(1, cfg.M - 1):
+    for n in range(1, len(pmf) - 1):
         s = a * (s + pois[n - 1])     # S_n = a (S_{n-1} + pi_{n-1})
         nu1 += pmf[n + 1] * (tail[n] + s)
-    return _breakdown(nu1, nu2)
+    return nu1
+
+
+def case2_outage(cfg: SystemConfig) -> OutageBreakdown:
+    """Primary outage without a direct link: nu1 from `_case2_nu1`, nu2 = Pr{K < 2}."""
+    if cfg.case is not Case.NO_DIRECT_LINK:
+        raise InvalidCase("case2_outage needs cfg.case = NO_DIRECT_LINK")
+    pmf = decoding_set_pmf(cfg)
+    return _breakdown(_case2_nu1(_threshold_q(cfg), cfg.gamma_s, pmf), _nu_small_k(cfg, pmf))
 
 
 # --- both topologies -----------------------------------------------------

@@ -81,13 +81,12 @@ def decode_mask(cfg: SystemConfig, block: ChannelBlock) -> np.ndarray:
     return cfg.gamma_p * block.h_p_relay >= thr
 
 
-def decoding_set_pmf(cfg: SystemConfig) -> np.ndarray:
-    """pmf of K = |decoding set| over 0..M-1: Binomial(M-1, L) at the case's rate.
-
-    A relay decodes w.p. L = e^-q, q = (2^rate - 1)/gamma_p, and fails w.p.
-    -expm1(-q): 1 - L loses all relative precision as q -> 0.
-    """
-    q = snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p
+def _binomial_pmf(m: int, q: float) -> list:
+    """Binomial(m, e^-q) pmf as floats; 1 - e^-q is -expm1(-q), exact as q -> 0."""
     L, L_bar = exp(-q), -expm1(-q)
-    m = cfg.M - 1
-    return np.array([comb(m, K) * L**K * L_bar ** (m - K) for K in range(cfg.M)])
+    return [comb(m, K) * L**K * L_bar ** (m - K) for K in range(m + 1)]
+
+
+def decoding_set_pmf(cfg: SystemConfig) -> np.ndarray:
+    """pmf of K = |decoding set|: Binomial(M-1, e^-q), q = (2^broadcast_rate - 1)/gamma_p."""
+    return np.array(_binomial_pmf(cfg.M - 1, snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p))

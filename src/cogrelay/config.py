@@ -38,10 +38,7 @@ class SystemConfig:
     lambda_s: tuple[float, ...] | None = None  # per-SU throughput targets, length M (default zeros)
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "M", operator.index(self.M))
-        except TypeError:
-            raise ValueError(f"M must be an integer, got {self.M!r}") from None
+        object.__setattr__(self, "M", _as_index("M", self.M))
         if not 2 <= self.M <= 1024:
             raise ValueError(f"M must lie in 2..1024, got M={self.M}")
         if not isinstance(self.case, Case):
@@ -84,6 +81,13 @@ class SystemConfig:
     def secondary_rate(self) -> float:
         """Rate of the secondary source's own transmission (same phase as forwarding)."""
         return self.forward_rate()
+
+
+def _as_index(name: str, x) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
 
 
 def snr_threshold(rate: float) -> float:

@@ -6,17 +6,19 @@ throughput is omega_j * f.  Meeting targets lambda_j for every user while the
 primary stays below its outage budget is a pair of linear constraints; the
 closed-form optimum assigns omega_j = lambda_j / f to everyone except the
 tagged user k, which absorbs the rest of the frame.  One solver, `_solve`,
-evaluates nu once per operating point; the public functions, each split of
-`search_zeta` and the CLI rows (`_row`) are views of it.
+evaluates nu once per operating point; the public functions, the CLI rows
+(`_row`) and the split `search_zeta` returns are views of it.  The search
+scans earlier splits on scalars, bit for bit, with no config per split.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import exp, fsum, nan
 
-from .analytic import InvalidCase, _nu_small_k, outage_probability
-from .channel import decoding_set_pmf
-from .config import Case, SystemConfig, snr_threshold
+from .analytic import (InvalidCase, _case2_nu1, _clip_unit, _nu_small_k,
+                       outage_probability)
+from .channel import _binomial_pmf
+from .config import Case, SystemConfig, _as_index, snr_threshold
 
 
 class PrimaryInfeasible(Exception):
@@ -37,26 +39,30 @@ class QosSolution:
     k: int                 # tagged user index
 
 
+def _success_prob(threshold: float, gamma_s: float) -> float:
+    return exp(-threshold / gamma_s)
+
+
 def secondary_success_prob(cfg: SystemConfig) -> float:
     """Probability a scheduled secondary transmission meets its own rate."""
-    return exp(-snr_threshold(cfg.secondary_rate()) / cfg.gamma_s)
+    return _success_prob(snr_threshold(cfg.secondary_rate()), cfg.gamma_s)
 
 
 def _check_k(cfg: SystemConfig, k: int) -> int:
-    k = int(k)
+    k = _as_index("k", k)
     if not 0 <= k < cfg.M:
         raise ValueError(f"k must index a secondary user (0..{cfg.M - 1})")
     return k
 
 
-def _solve(cfg: SystemConfig, k: int):
+def _solve(cfg: SystemConfig, k: int, nu: float | None = None):
     """(solution or None, lambda_k_max, error or None) at one operating point.
 
-    The error is what the raising API throws, the primary checked first.  It
-    builds no infeasible marker, as `search_zeta` discards most splits.
+    The error is what the raising API throws, the primary checked first.
+    nu is the primary outage at cfg, evaluated here unless the caller has it.
     """
     k = _check_k(cfg, k)
-    nu = outage_probability(cfg).nu
+    nu = outage_probability(cfg).nu if nu is None else nu
     if cfg.lambda_p > 1.0 - nu:
         return None, 0.0, PrimaryInfeasible(
             f"primary needs throughput {cfg.lambda_p} but the link sustains {1.0 - nu:.6g}")
@@ -110,22 +116,26 @@ def search_zeta(cfg: SystemConfig, k: int, grid_size: int = 999) -> QosSolution:
     the grid optimum (largest slack, then lambda_k_max, then smallest zeta);
     with none, an infeasible marker is returned.  Exact prunes before the
     outage closed form: stop once sum(lambda_s) > f; skip a point with
-    lambda_p > 1 - min(nu2, 1), which is >= 1 - nu because nu1 >= 0.
+    lambda_p > 1 - min(nu2, 1), which is >= 1 - nu because nu1 >= 0.  Splits
+    cost scalars (f and c share 2^(R/(1-zeta)) - 1; nu2 and nu1 a pmf list).
     """
     if cfg.case is not Case.NO_DIRECT_LINK:
         raise InvalidCase("search_zeta applies to the no-direct-link case only")
     k = _check_k(cfg, k)
+    grid_size = _as_index("grid_size", grid_size)
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     total = fsum(cfg.lambda_s)
     for i in range(1, grid_size + 1):
-        cfg_i = replace(cfg, zeta=i / (grid_size + 1))
-        if total > secondary_success_prob(cfg_i):
+        zeta = i / (grid_size + 1)
+        thr_f = snr_threshold(cfg.R / (1.0 - zeta))
+        if total > _success_prob(thr_f, cfg.gamma_s):
             break
-        if cfg.lambda_p > 1.0 - min(_nu_small_k(cfg_i, decoding_set_pmf(cfg_i)), 1.0):
-            continue
-        sol = _solve(cfg_i, k)[0]
-        if sol is not None:
-            return sol
+        pmf = _binomial_pmf(cfg.M - 1, snr_threshold(cfg.R / zeta) / cfg.gamma_p)
+        nu2 = _nu_small_k(cfg, pmf)     # reads no zeta without a direct link
+        if cfg.lambda_p <= 1.0 - min(nu2, 1.0):
+            nu = _clip_unit(_case2_nu1(thr_f / cfg.gamma_p, cfg.gamma_s, pmf) + nu2)
+            if cfg.lambda_p <= 1.0 - nu:
+                return _solve(replace(cfg, zeta=zeta), k, nu)[0]
     return QosSolution(feasible=False, omega=(nan,) * cfg.M, zeta=nan,
                        lambda_k_max=0.0, slack=nan, k=k)

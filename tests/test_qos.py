@@ -56,6 +56,12 @@ def test_max_lambda_clamps_and_k_validation():
         max_lambda_k(cfg, 3)
     with pytest.raises(ValueError):
         max_lambda_k(cfg, -1)
+    # k must be an integer: int(1.7) would tag user 1 and int(inf) overflow
+    for bad in (1.7, 1.0, math.inf, math.nan, "1", None):
+        for solver in (max_lambda_k, solve_assignment):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                solver(cfg, bad)
+    assert max_lambda_k(cfg, np.int64(0)) == 0.0
 
 
 def test_primary_infeasible():
@@ -168,6 +174,12 @@ def test_search_zeta_validation():
         search_zeta(cfg, 0, grid_size=0)
     with pytest.raises(ValueError):
         search_zeta(cfg, 9)
+    for bad in (2.5, math.inf, math.nan, "3", None):
+        with pytest.raises(ValueError, match="grid_size must be an integer"):
+            search_zeta(cfg, 0, grid_size=bad)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        search_zeta(cfg, 1.7)
+    assert search_zeta(cfg, np.int64(0), grid_size=np.int64(9)) == search_zeta(cfg, 0, 9)
 
 
 @st.composite
@@ -219,3 +231,69 @@ def test_search_zeta_fig2_rows_make_few_outage_calls(monkeypatch):
             search_zeta(_preset(M, float(R), case="nodirect"), 0)
     # the exhaustive scan made 93 * 999 = 92,907 of them
     assert len(calls) < 1000
+
+
+def test_search_zeta_scan_matches_public_functions(monkeypatch):
+    # f, nu2 and nu as the scan forms them, at every split, against the public
+    # functions at replace(cfg, zeta=zeta), bit for bit.  Recording every nu as
+    # 1 fails the primary at each split (lambda_p > 0), so the scan visits the
+    # whole grid; with zero demands the f test never stops it, even where f
+    # underflows to 0.
+    def recorder(name, fn, result=None):
+        def wrapped(*args):
+            value = fn(*args)
+            # tag each value with its split: f comes first in every split
+            seen[name].append((len(seen["f"]) - (name != "f"), value))
+            return value if result is None else result
+        return wrapped
+
+    qos = cogrelay.qos
+    monkeypatch.setattr(qos, "_success_prob", recorder("f", qos._success_prob))
+    monkeypatch.setattr(qos, "_nu_small_k", recorder("nu2", qos._nu_small_k))
+    monkeypatch.setattr(qos, "_clip_unit", recorder("nu", qos._clip_unit, 1.0))
+    grid_size = 9
+    cfgs = [SystemConfig(M=M, gamma_p=gp, gamma_s=gs, R=R, case="nodirect", lambda_p=1e-300)
+            for M in (2, 3, 6, 40, 1024) for R in (0.0, 0.5, 4.0)
+            for gp, gs in ((50.0, 30.0), (1e4, 0.01))]
+    scans = []
+    for cfg in cfgs:
+        seen = {"f": [], "nu2": [], "nu": []}
+        assert not search_zeta(cfg, 0, grid_size).feasible
+        scans.append(seen)
+    monkeypatch.undo()
+    n_nu = n_f0 = 0
+    for cfg, seen in zip(cfgs, scans):
+        assert [i for i, _ in seen["f"]] == list(range(grid_size))
+        at = [replace(cfg, zeta=(i + 1) / (grid_size + 1)) for i in range(grid_size)]
+        for i, f in seen["f"]:
+            assert f == secondary_success_prob(at[i]), (cfg, i)
+            n_f0 += f == 0.0
+        for i, nu2 in seen["nu2"]:
+            assert nu2 == _nu_small_k(at[i], decoding_set_pmf(at[i])), (cfg, i)
+        for i, nu in seen["nu"]:
+            assert nu == outage_probability(at[i]).nu, (cfg, i)
+        n_nu += len(seen["nu"])
+    assert n_f0 > 0 and n_nu > 0
+
+
+def test_search_zeta_builds_at_most_one_config(monkeypatch):
+    # a feasible search validates one config, the split it returns; an
+    # infeasible one none, and neither builds a numpy pmf
+    built, pmfs = [], []
+    post_init = SystemConfig.__post_init__
+    real_pmf = cogrelay.analytic.decoding_set_pmf
+
+    def counted_post_init(self):
+        built.append(self.zeta)
+        post_init(self)
+
+    monkeypatch.setattr(SystemConfig, "__post_init__", counted_post_init)
+    monkeypatch.setattr(cogrelay.analytic, "decoding_set_pmf",
+                        lambda cfg: pmfs.append(cfg) or real_pmf(cfg))
+    for M in (4, 5, 6):
+        for R in np.linspace(0.0, 1.5, 31):
+            cfg = _preset(M, float(R), case="nodirect")
+            built.clear()
+            sol = search_zeta(cfg, 0)
+            assert built == ([sol.zeta] if sol.feasible else []), (M, R)
+    assert not pmfs
