@@ -10,6 +10,10 @@ Links that enter only through their power (primary tx -> pd and -> each
 relay, secondary source -> pd and -> sd) are drawn as |h|^2 ~ Exp(1), exact
 for CN(0, 1).  The relay -> pd and relay -> sd vectors stay complex: the
 zero-forcing gain is their projection, never a draw from its Gamma law.
+
+A block's power gains are drawn whole; its complex normals can be drawn in
+row chunks, which the Monte Carlo folds one at a time.  Either way a block
+holds the same samples.
 """
 from __future__ import annotations
 
@@ -52,20 +56,32 @@ def draw_realizations(cfg: SystemConfig, n: int, rng: np.random.Generator) -> Ch
     power gains [p->pd, p->relay_0..relay_{M-2}, v->pd, v->sd], then
     (n, 2(M-1)) complex normals, [relay->pd | relay->sd].
     """
+    return next(_draw_chunks(cfg, n, rng, max(n, 1)))
+
+
+def _draw_chunks(cfg: SystemConfig, n: int, rng: np.random.Generator, rows: int):
+    """The n-slot draw of `draw_realizations` as ChannelBlocks of `rows` slots.
+
+    The Exp(1) array is drawn whole and first, then each chunk's normals in
+    turn; draws run sequentially on one stream, so the chunks are that
+    draw's rows whatever `rows` is.
+    """
     m = cfg.M - 1
     e = rng.standard_exponential((n, cfg.M + 2))
     if cfg.case is Case.NO_DIRECT_LINK:
         e[:, 0] = 0.0
-    z = rng.standard_normal((n, 2 * m, 2))
-    h = np.multiply(z, np.sqrt(0.5), out=z).view(np.complex128)[..., 0]
-    return ChannelBlock(
-        h_p_pd=e[:, 0],
-        h_p_relay=e[:, 1 : 1 + m],
-        h_relay_pd=h[:, :m],
-        h_relay_sd=h[:, m:],
-        h_v_pd=e[:, 1 + m],
-        h_v_sd=e[:, 2 + m],
-    )
+    for lo in range(0, max(n, 1), rows):
+        c = e[lo : lo + rows]
+        z = rng.standard_normal((len(c), 2 * m, 2))
+        h = np.multiply(z, np.sqrt(0.5), out=z).view(np.complex128)[..., 0]
+        yield ChannelBlock(
+            h_p_pd=c[:, 0],
+            h_p_relay=c[:, 1 : 1 + m],
+            h_relay_pd=h[:, :m],
+            h_relay_sd=h[:, m:],
+            h_v_pd=c[:, 1 + m],
+            h_v_sd=c[:, 2 + m],
+        )
 
 
 # --- decoding set ------------------------------------------------------

@@ -297,6 +297,8 @@ def build_spec(argv=None):
         raise ConfigError("--trials must be >= 1")
     if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
+    if not 0 <= args.seed < 2**64:
+        raise ConfigError("--seed must lie in [0, 2**64)")
 
     cfg_args = {f.name: values[f.name] for f in fields(SystemConfig)}
     cfg_args["lambda_s"] = values["lambda_s"] or None

@@ -1,8 +1,11 @@
 """Full-protocol Monte Carlo: the ground-truth oracle for the closed forms.
 
-Slots are simulated in blocks of 16384 (2^20 // (M - 1) past M = 65, so that
-memory stays bounded in M), each drawn from its own counter-jumped substream
-of the master seed.  Each of W workers folds the strided share w, w + W,
+Slots are simulated in blocks of 16384 (2^20 // (M - 1) past M = 65), each
+drawn from its own counter-jumped substream of the master seed.  A block
+draws its power gains whole, then passes through the zero-forcing gain in
+chunks of 2^15 // (M - 1) slots (at least one), each chunk's normals drawn
+just before it is folded, so the normals and their gain temporaries never
+span a whole block.  Each of W workers folds the strided share w, w + W,
 w + 2W, ... of the blocks as it draws them (W is at most the block count), so
 memory does not grow with the trial count.  Workers never change what a
 block contains, so counts are bit-identical for any W.
@@ -13,15 +16,16 @@ import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial, reduce
-from math import sqrt
+from math import fsum, inf, sqrt
 
 import numpy as np
 
 from .beamform import effective_gain
-from .channel import ChannelBlock, decode_mask, draw_realizations, substream
-from .config import Case, SystemConfig, snr_threshold
+from .channel import ChannelBlock, _draw_chunks, decode_mask, substream
+from .config import Case, SystemConfig, _as_index, snr_threshold
 
 BLOCK_SLOTS = 16384
+_CHUNK_LINKS = 2**15       # relay links per chunk of a block
 
 
 @dataclass(frozen=True)
@@ -80,27 +84,31 @@ def _add(total: tuple, result: tuple) -> tuple:
     return tuple(map(operator.add, total, result))
 
 
+def _chunk_events(cfg: SystemConfig, n: int, rng: np.random.Generator):
+    """_slot_events of each chunk of an n-slot draw from rng, chunk by chunk."""
+    rows = max(1, _CHUNK_LINKS // (cfg.M - 1))
+    return (_slot_events(cfg, chunk) for chunk in _draw_chunks(cfg, n, rng, rows))
+
+
 def _outage_block(args):
     cfg, seed, index, n = args
-    block = draw_realizations(cfg, n, substream(seed, index))
-    primary_ok, secondary_ok, k = _slot_events(cfg, block)
-    return (
+    return reduce(_add, ((
         int(np.count_nonzero(~primary_ok)),
         int(np.count_nonzero(~secondary_ok)),
         np.bincount(k, minlength=cfg.M),
-    )
+    ) for primary_ok, secondary_ok, k in _chunk_events(cfg, n, substream(seed, index))))
 
 
 def _schedule_block(args):
     cfg, omega, seed, index, n = args
     rng = substream(seed, index)
-    block = draw_realizations(cfg, n, rng)      # channel draws first,
+    events = list(_chunk_events(cfg, n, rng))   # channel draws first,
     u = rng.random(n)                           # scheduling uniforms after
     scheduled = np.searchsorted(np.cumsum(omega), u, side="right")
     scheduled = np.minimum(scheduled, len(omega) - 1)
-    primary_ok, secondary_ok, _ = _slot_events(cfg, block)
+    secondary_ok = np.concatenate([ok for _, ok, _ in events])
     succ = np.bincount(scheduled[secondary_ok], minlength=len(omega))
-    return succ, int(np.count_nonzero(primary_ok))
+    return succ, sum(int(np.count_nonzero(ok)) for ok, _, _ in events)
 
 
 def _fold(task, head: tuple, trials: int, first: int, step: int, block=BLOCK_SLOTS) -> tuple:
@@ -110,14 +118,25 @@ def _fold(task, head: tuple, trials: int, first: int, step: int, block=BLOCK_SLO
 
 def _sum_blocks(task, head: tuple, trials: int, workers: int, block=BLOCK_SLOTS) -> tuple:
     """_fold over every block: in-process, or one strided share per process."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     shares = max(1, min(workers, -(-trials // block)))
     share = partial(_fold, task, head, trials, step=shares, block=block)
     if shares == 1:
         return share(0)
     with ProcessPoolExecutor(max_workers=shares) as pool:
         return reduce(_add, pool.map(share, range(shares)))
+
+
+def _check_run(trials, seed, workers) -> tuple:
+    """(trials, seed, workers) as ints; ValueError unless each lies in its range."""
+    trials, seed, workers = (_as_index(name, x) for name, x in
+                             (("trials", trials), ("seed", seed), ("workers", workers)))
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return trials, seed, workers
 
 
 def _estimate(count: int, trials: int) -> OutageEstimate:
@@ -130,8 +149,10 @@ def estimate_outage(cfg: SystemConfig, trials: int, seed: int = 0,
     """Empirical primary/secondary outage over `trials` slots.
 
     Deterministic in (cfg, trials, seed); the workers argument affects
-    wall-clock only.
+    wall-clock only.  trials >= 1, 0 <= seed < 2^128 and workers >= 1 are
+    integers; anything else raises ValueError.
     """
+    trials, seed, workers = _check_run(trials, seed, workers)
     p_out, s_out, k_counts = _sum_blocks(_outage_block, (cfg, seed), trials, workers,
                                          min(BLOCK_SLOTS, 2**20 // (cfg.M - 1)))
     return OutageSimulation(primary=_estimate(p_out, trials), secondary=_estimate(s_out, trials),
@@ -146,10 +167,15 @@ def estimate_schedule_throughput(cfg: SystemConfig, omega, trials: int,
     own-data success gives throughput mu_j.  The primary relaying outcome is
     counted in the same slots (its statistics do not depend on which user is
     scheduled, but the shared-slot accounting mirrors the protocol).
+    omega holds M finite nonnegative shares that sum to 1 within 1e-9, and
+    trials, seed and workers are checked as in estimate_outage; anything
+    else raises ValueError.
     """
+    trials, seed, workers = _check_run(trials, seed, workers)
     omega = tuple(float(w) for w in omega)
-    if len(omega) != cfg.M or any(w < 0 for w in omega):
-        raise ValueError("omega must be M nonnegative probabilities")
+    if (len(omega) != cfg.M or not all(0.0 <= w < inf for w in omega)
+            or abs(fsum(omega) - 1.0) > 1e-9):
+        raise ValueError("omega must be M finite nonnegative probabilities summing to 1")
     succ, p_ok = _sum_blocks(_schedule_block, (cfg, omega, seed), trials, workers,
                              min(BLOCK_SLOTS, 2**20 // (cfg.M - 1)))
     mu = succ / trials

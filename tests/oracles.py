@@ -8,7 +8,9 @@ laws in high-precision finite sums, sharing no code with the closed forms;
 `search_zeta_exhaustive` is the full grid scan behind `search_zeta`,
 `outage_highsnr_direct` the high-SNR asymptotes summed in plain floats,
 `projection_matrix` the K x K projector the beamformer applies in rank-1 form,
-and `effective_gain_ref` the batched gain with explicit |h|^2 temporaries.
+`effective_gain_ref` the batched gain with explicit |h|^2 temporaries, and
+`outage_block_ref` / `schedule_block_ref` the Monte Carlo block tasks that
+fold a whole block at once instead of chunk by chunk.
 """
 from dataclasses import replace
 from math import comb, exp, expm1, factorial, lgamma, log, nan
@@ -21,10 +23,11 @@ from scipy import integrate, special
 from cogrelay.analytic import (InvalidCase, OutageBreakdown, QuadratureFailure,
                                _breakdown, _nu_small_k, _threshold_q)
 from cogrelay.beamform import _DEGENERACY_FLOOR, DegenerateChannel
-from cogrelay.channel import decoding_set_pmf
+from cogrelay.channel import decoding_set_pmf, draw_realizations, substream
 from cogrelay.config import Case, SystemConfig, snr_threshold
 from cogrelay.qos import (PrimaryInfeasible, QosSolution, SecondaryInfeasible,
                           _check_k, solve_assignment)
+from cogrelay.simulate import _slot_events
 
 # term cap for the open-ended series of `_case1_bracket`: over its reachable
 # domain none takes more than ~10^4 terms, so hitting it means a NaN or an
@@ -170,6 +173,31 @@ def effective_gain_ref(h_pd: np.ndarray, h_sd: np.ndarray, mask: np.ndarray) -> 
     safe = b2 > _DEGENERACY_FLOOR
     alpha = a2 - np.abs(ip) ** 2 / np.where(safe, b2, 1.0)
     return np.where(safe, np.clip(alpha, 0.0, None), 0.0)
+
+
+def outage_block_ref(args):
+    """(primary outages, secondary outages, K histogram) of one whole-block draw."""
+    cfg, seed, index, n = args
+    block = draw_realizations(cfg, n, substream(seed, index))
+    primary_ok, secondary_ok, k = _slot_events(cfg, block)
+    return (
+        int(np.count_nonzero(~primary_ok)),
+        int(np.count_nonzero(~secondary_ok)),
+        np.bincount(k, minlength=cfg.M),
+    )
+
+
+def schedule_block_ref(args):
+    """(per-user successes, primary successes) of one whole-block draw."""
+    cfg, omega, seed, index, n = args
+    rng = substream(seed, index)
+    block = draw_realizations(cfg, n, rng)      # channel draws first,
+    u = rng.random(n)                           # scheduling uniforms after
+    scheduled = np.searchsorted(np.cumsum(omega), u, side="right")
+    scheduled = np.minimum(scheduled, len(omega) - 1)
+    primary_ok, secondary_ok, _ = _slot_events(cfg, block)
+    succ = np.bincount(scheduled[secondary_ok], minlength=len(omega))
+    return succ, int(np.count_nonzero(primary_ok))
 
 
 def search_zeta_exhaustive(cfg: SystemConfig, k: int, grid_size: int = 999) -> QosSolution:

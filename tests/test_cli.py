@@ -86,6 +86,8 @@ def test_config_file_diagnostics(tmp_path):
     ["--experiment", "validate", "--config", "/nonexistent/path.cfg"],
     ["--experiment", "outage-curve", "--M", "1025"],         # past the largest M
     ["--experiment", "outage-curve", "--case", "nodirect", "--M", "1025"],
+    ["--experiment", "validate", "--seed", "-1"],              # was a numpy traceback, exit 1
+    ["--experiment", "validate", "--seed", str(2**64)],
 ])
 def test_bad_inputs_exit_2(args, tmp_path, capsys):
     code = main([*args, "--out", str(tmp_path / "x.csv")])

@@ -1,6 +1,7 @@
 import inspect
 import math
 import tracemalloc
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from cogrelay import (BLOCK_SLOTS, SystemConfig, decoding_set_pmf,
                       estimate_schedule_throughput, outage_probability,
                       secondary_success_prob, solve_assignment, substream)
 from cogrelay import simulate
+from cogrelay.channel import _draw_chunks
 from cogrelay.simulate import _blocks
+
+from oracles import outage_block_ref, schedule_block_ref
 
 
 def _cfg(case="direct", M=4, R=0.5, gamma_p=50.0):
@@ -142,6 +146,59 @@ def test_block_memory_is_bounded_in_m():
     assert peak < 150e6, peak
 
 
+def test_block_memory_stays_under_16mb():
+    # the block's normals and gain temporaries span one chunk, not the block:
+    # whole-block folds traced 48 MB at M = 40 and 77 MB at M = 1024
+    for M in (40, 1024):
+        tracemalloc.start()
+        try:
+            estimate_outage(_cfg(M=M), BLOCK_SLOTS, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, (M, peak)
+
+
+def _chunk_rows(M):
+    return max(1, simulate._CHUNK_LINKS // (M - 1))
+
+
+_CHUNK_M = (2, 3, 6, 40, 65, 66, 1024)
+
+
+@pytest.mark.parametrize("M", _CHUNK_M)
+def test_chunked_blocks_match_whole_block_reference(M):
+    # counts folded chunk by chunk equal the whole-block fold exactly, for
+    # blocks that end inside, on and just past a chunk edge
+    rows = _chunk_rows(M)
+    full = min(BLOCK_SLOTS, 2**20 // (M - 1))
+    omega = tuple(np.arange(1, M + 1) / (M * (M + 1) / 2))
+    for case in ("direct", "nodirect"):
+        cfg = _cfg(case, M=M, gamma_p=5.0 * M)
+        for n in sorted({1, max(1, rows - 1), rows, rows + 1, full}):
+            got = simulate._outage_block((cfg, 3, n, n))
+            want = outage_block_ref((cfg, 3, n, n))
+            assert got[:2] == want[:2] and np.array_equal(got[2], want[2]), (case, n)
+            got = simulate._schedule_block((cfg, omega, 4, n, n))
+            want = schedule_block_ref((cfg, omega, 4, n, n))
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1], (case, n)
+
+
+@pytest.mark.parametrize("M", _CHUNK_M)
+def test_draw_realizations_is_the_chunks_joined(M):
+    # one draw path: the whole-block draw is the chunked draw with one chunk
+    rows = _chunk_rows(M)
+    for case in ("direct", "nodirect"):
+        cfg = _cfg(case, M=M)
+        for n in sorted({1, max(1, rows - 1), rows, rows + 1, 2 * rows + 3}):
+            whole = draw_realizations(cfg, n, substream(21, n))
+            chunks = list(_draw_chunks(cfg, n, substream(21, n), rows))
+            assert len(chunks) == -(-n // rows)
+            for name in ("h_p_pd", "h_p_relay", "h_relay_pd", "h_relay_sd", "h_v_pd", "h_v_sd"):
+                joined = np.concatenate([getattr(c, name) for c in chunks])
+                assert np.array_equal(getattr(whole, name), joined), (case, n, name)
+
+
 def test_estimate_fields():
     cfg = _cfg()
     est = estimate_outage(cfg, 1, seed=0)
@@ -210,7 +267,37 @@ def test_schedule_throughput_validation_and_determinism():
         estimate_schedule_throughput(cfg, (0.5, 0.5), 100, seed=0)
     with pytest.raises(ValueError):
         estimate_schedule_throughput(cfg, (-0.1, 0.6, 0.5), 100, seed=0)
+    # finite shares that sum to 1 within 1e-9: a short sum would hand the
+    # last user every slot past it
+    for omega in ((nan, 0.5, 0.5), (inf, 0.0, 0.0), (0.1, 0.1, 0.1), (0.5, 0.5, 0.5),
+                  (0.2, 0.3, 0.5 + 1e-8)):
+        with pytest.raises(ValueError, match="omega"):
+            estimate_schedule_throughput(cfg, omega, 100, seed=0)
     a = estimate_schedule_throughput(cfg, (0.2, 0.3, 0.5), 40_000, seed=3, workers=1)
     b = estimate_schedule_throughput(cfg, (0.2, 0.3, 0.5), 40_000, seed=3, workers=2)
     assert np.array_equal(a.mu_hat, b.mu_hat)
     assert a.primary_throughput == b.primary_throughput
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"trials": 100.0}, {"trials": 2.5}, {"trials": nan}, {"trials": "100"}, {"trials": 0},
+    {"seed": 2.5}, {"seed": -1}, {"seed": 2**128}, {"seed": nan},
+    {"workers": 0}, {"workers": -1}, {"workers": nan}, {"workers": 1.0},
+])
+def test_monte_carlo_runs_reject_bad_counts(kwargs):
+    # trials, seed and workers are integers in range, in both entry points
+    cfg = _cfg(M=3)
+    args = {"trials": 100, "seed": 0, "workers": 1, **kwargs}
+    for run in (lambda **a: estimate_outage(cfg, **a),
+                lambda **a: estimate_schedule_throughput(cfg, (0.2, 0.3, 0.5), **a)):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            run(**args)
+
+
+def test_monte_carlo_runs_take_integer_likes():
+    cfg = _cfg(M=3)
+    a = estimate_outage(cfg, np.int64(100), seed=np.uint64(3), workers=np.int32(1))
+    assert a.trials == 100 and type(a.trials) is int
+    assert a.k_counts.sum() == 100
+    assert a.primary.p_hat == estimate_outage(cfg, 100, seed=3).primary.p_hat
+    assert estimate_outage(cfg, 1, seed=2**128 - 1).trials == 1
