@@ -15,7 +15,10 @@ variable phi = gamma_s * |h_v_pd|^2 ~ Exponential(mean gamma_s).
 
 Both phi-averaged outages are exact finite sums of positive terms, with no
 complement, no integrator and no open-ended series, so the same code is
-accurate from nu ~ 1 down to the deep high-SNR tail.  Case 2 conditions on
+accurate from nu ~ 1 down to the smallest normal float, about 2.2e-308.
+Below that nu comes back subnormal, with fewer significant digits: M = 1024
+with a direct link, gamma_p = gamma_s = 1e4 and R = 1/2 gives
+4.810677115e-315, good to about 9 digits.  Case 2 conditions on
 the beamforming gain instead of phi (`case2_outage`).  Case 1 conditions on
 the direct branch and the beamforming gain, which leaves Gauss hypergeometric
 values h_k = 2F1(1, k; n+2; a) with n + 1 - k >= 1.  They come from a
@@ -323,7 +326,10 @@ def outage_highsnr(cfg: SystemConfig) -> float:
     with Q_b and Q_f the broadcast- and forward-phase thresholds.  The direct
     link (d = 1, Q_b = Q_f = Q) adds one power of Q, so the sum is of order
     gamma^-(M-1) with it and gamma^-(M-2) without.  Terms are formed in logs:
-    for large M the moments overflow while the Q powers underflow.
+    for large M the moments overflow while the Q powers underflow.  It is an
+    asymptote, not a bound: far from high SNR it can exceed 1 or be inf, as at
+    M = 1024, gamma_s = 1e4 and gamma_p = 50, which the CLI's outage-curve
+    prints as its nu_highsnr.
     """
     d = 1 if cfg.case is Case.DIRECT_LINK else 0
     q_b = snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p

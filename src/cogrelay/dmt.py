@@ -8,7 +8,7 @@ from math import log2
 import numpy as np
 
 from .analytic import outage_probability
-from .config import Case, SystemConfig
+from .config import Case, SystemConfig, _as_index
 from .simulate import estimate_outage
 
 
@@ -49,7 +49,11 @@ def max_diversity(cfg: SystemConfig) -> int:
 
 
 def analytic_dmt(cfg: SystemConfig, num_points: int = 51) -> DmtCurve:
-    """The straight-line tradeoff d(r) = d_max (1 - r / r_max)."""
+    """The straight-line tradeoff d(r) = d_max (1 - r / r_max) at num_points rates.
+
+    num_points is an integer >= 2; anything else raises ValueError.
+    """
+    num_points = _as_index("num_points", num_points)
     if num_points < 2:
         raise ValueError("num_points must be >= 2")
     r_max = multiplexing_limit(cfg)

@@ -5,17 +5,20 @@ drawn from its own counter-jumped substream of the master seed.  A block
 draws its power gains whole, then passes through the zero-forcing gain in
 chunks of 2^15 // (M - 1) slots (at least one), each chunk's normals drawn
 just before it is folded, so the normals and their gain temporaries never
-span a whole block.  Each of W workers folds the strided share w, w + W,
-w + 2W, ... of the blocks as it draws them (W is at most the block count), so
-memory does not grow with the trial count.  Workers never change what a
-block contains, so counts are bit-identical for any W.
+span a whole block.  Each of W threads folds the strided share w, w + W, ...
+of the blocks as it draws them (W is at most the blocks and the CPUs; numpy
+drops the interpreter lock to draw and reduce), so memory does not grow with
+the trial count.  Threads never change a block, so counts are bit-identical for any W.
 """
 from __future__ import annotations
 
 import operator
-from concurrent.futures import ProcessPoolExecutor
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial, reduce
+from itertools import takewhile
 from math import fsum, inf, sqrt
 
 import numpy as np
@@ -90,8 +93,7 @@ def _chunk_events(cfg: SystemConfig, n: int, rng: np.random.Generator):
     return (_slot_events(cfg, chunk) for chunk in _draw_chunks(cfg, n, rng, rows))
 
 
-def _outage_block(args):
-    cfg, seed, index, n = args
+def _outage_block(cfg, seed, index, n):
     return reduce(_add, ((
         int(np.count_nonzero(~primary_ok)),
         int(np.count_nonzero(~secondary_ok)),
@@ -99,8 +101,7 @@ def _outage_block(args):
     ) for primary_ok, secondary_ok, k in _chunk_events(cfg, n, substream(seed, index))))
 
 
-def _schedule_block(args):
-    cfg, omega, seed, index, n = args
+def _schedule_block(cfg, omega, seed, index, n):
     rng = substream(seed, index)
     events = list(_chunk_events(cfg, n, rng))   # channel draws first,
     u = rng.random(n)                           # scheduling uniforms after
@@ -111,19 +112,22 @@ def _schedule_block(args):
     return succ, sum(int(np.count_nonzero(ok)) for ok, _, _ in events)
 
 
-def _fold(task, head: tuple, trials: int, first: int, step: int, block=BLOCK_SLOTS) -> tuple:
-    """Elementwise sum of task(head + b) over _blocks(trials, first, step, block)."""
-    return reduce(_add, (task(head + b) for b in _blocks(trials, first, step, block)))
+def _sum_blocks(task, trials: int, workers: int, block=BLOCK_SLOTS) -> tuple:
+    """Elementwise sum of task(index, n) over all blocks, in W strided shares: share 0
+    on this thread, the rest on a pool (no thread when W = 1).  Once the fold ends or
+    raises, Ctrl-C included, every share skips its remaining blocks."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    shares, stop = min(workers, -(-trials // block), cpus or 1), threading.Event()
 
+    def share(first):
+        live = takewhile(lambda _: not stop.is_set(), _blocks(trials, first, shares, block))
+        return reduce(_add, (task(*b) for b in live))
 
-def _sum_blocks(task, head: tuple, trials: int, workers: int, block=BLOCK_SLOTS) -> tuple:
-    """_fold over every block: in-process, or one strided share per process."""
-    shares = max(1, min(workers, -(-trials // block)))
-    share = partial(_fold, task, head, trials, step=shares, block=block)
-    if shares == 1:
-        return share(0)
-    with ProcessPoolExecutor(max_workers=shares) as pool:
-        return reduce(_add, pool.map(share, range(shares)))
+    with ThreadPoolExecutor(shares) as pool:
+        try:
+            return reduce(_add, pool.map(share, range(1, shares)), share(0))
+        finally:
+            stop.set()
 
 
 def _check_run(trials, seed, workers) -> tuple:
@@ -153,7 +157,7 @@ def estimate_outage(cfg: SystemConfig, trials: int, seed: int = 0,
     integers; anything else raises ValueError.
     """
     trials, seed, workers = _check_run(trials, seed, workers)
-    p_out, s_out, k_counts = _sum_blocks(_outage_block, (cfg, seed), trials, workers,
+    p_out, s_out, k_counts = _sum_blocks(partial(_outage_block, cfg, seed), trials, workers,
                                          min(BLOCK_SLOTS, 2**20 // (cfg.M - 1)))
     return OutageSimulation(primary=_estimate(p_out, trials), secondary=_estimate(s_out, trials),
                             k_counts=k_counts, trials=trials)
@@ -176,8 +180,8 @@ def estimate_schedule_throughput(cfg: SystemConfig, omega, trials: int,
     if (len(omega) != cfg.M or not all(0.0 <= w < inf for w in omega)
             or abs(fsum(omega) - 1.0) > 1e-9):
         raise ValueError("omega must be M finite nonnegative probabilities summing to 1")
-    succ, p_ok = _sum_blocks(_schedule_block, (cfg, omega, seed), trials, workers,
-                             min(BLOCK_SLOTS, 2**20 // (cfg.M - 1)))
+    succ, p_ok = _sum_blocks(partial(_schedule_block, cfg, omega, seed), trials,
+                             workers, min(BLOCK_SLOTS, 2**20 // (cfg.M - 1)))
     mu = succ / trials
     return ScheduleEstimate(
         mu_hat=mu,

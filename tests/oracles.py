@@ -175,9 +175,8 @@ def effective_gain_ref(h_pd: np.ndarray, h_sd: np.ndarray, mask: np.ndarray) -> 
     return np.where(safe, np.clip(alpha, 0.0, None), 0.0)
 
 
-def outage_block_ref(args):
+def outage_block_ref(cfg, seed, index, n):
     """(primary outages, secondary outages, K histogram) of one whole-block draw."""
-    cfg, seed, index, n = args
     block = draw_realizations(cfg, n, substream(seed, index))
     primary_ok, secondary_ok, k = _slot_events(cfg, block)
     return (
@@ -187,9 +186,8 @@ def outage_block_ref(args):
     )
 
 
-def schedule_block_ref(args):
+def schedule_block_ref(cfg, omega, seed, index, n):
     """(per-user successes, primary successes) of one whole-block draw."""
-    cfg, omega, seed, index, n = args
     rng = substream(seed, index)
     block = draw_realizations(cfg, n, rng)      # channel draws first,
     u = rng.random(n)                           # scheduling uniforms after

@@ -39,8 +39,12 @@ def test_analytic_endpoints_split_slot():
 
 
 def test_analytic_validation():
-    with pytest.raises(ValueError):
-        analytic_dmt(_cfg(), num_points=1)
+    # num_points is an integer >= 2; anything else is a ValueError, never
+    # numpy's TypeError
+    for num_points in (1, 0, 2.5, 3.0, math.nan, "7"):
+        with pytest.raises(ValueError, match="num_points"):
+            analytic_dmt(_cfg(), num_points=num_points)
+    assert len(analytic_dmt(_cfg(), num_points=np.int64(3)).points) == 3
 
 
 def test_empirical_diversity_fixed_rate():

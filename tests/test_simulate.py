@@ -1,7 +1,9 @@
 import inspect
 import math
+import threading
 import tracemalloc
 from math import inf, nan
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,12 +75,11 @@ def test_estimate_outage_deterministic_and_worker_invariant():
 
 
 class _FakePool:
-    """In-process stand-in for ProcessPoolExecutor that records what it is handed."""
+    """In-process stand-in for ThreadPoolExecutor that records what it is handed."""
 
     seen = []
 
     def __init__(self, max_workers):
-        self.max_workers = max_workers
         self.items = []
         _FakePool.seen.append(self)
 
@@ -88,31 +89,76 @@ class _FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables, chunksize=1):
+    def map(self, fn, *iterables):
         self.items = list(zip(*iterables))
         return [fn(*item) for item in self.items]
 
 
-def _count_slots(args):
-    _, index, n = args
+def _count_slots(index, n):
     return n, index
 
 
+def _cpus(n):
+    """simulate's view of os when this process may run on n CPUs."""
+    return SimpleNamespace(sched_getaffinity=lambda pid: set(range(n)))
+
+
 def test_pool_gets_one_share_per_worker(monkeypatch):
-    # one strided share per process, never a task per block, and no process
-    # without a block: 10^3 blocks on 3 workers are 3 items, 2 blocks on 16
-    # workers start 2 processes
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _FakePool)
+    # one strided share per thread, never a task per block, and no share
+    # without a block: share 0 runs on the calling thread and the pool gets
+    # the other W - 1, so 10^3 blocks on 3 workers are 2 items, 2 blocks on
+    # 16 workers 1 item and one worker none
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", _FakePool)
     monkeypatch.setattr(_FakePool, "seen", [])
+    monkeypatch.setattr(simulate, "os", _cpus(64))
     trials = 1000 * BLOCK_SLOTS - 7
-    total = simulate._sum_blocks(_count_slots, ("head",), trials, 3)
-    assert total == simulate._sum_blocks(_count_slots, ("head",), trials, 1)
+    total = simulate._sum_blocks(_count_slots, trials, 3)
+    assert total == simulate._sum_blocks(_count_slots, trials, 1)
     assert total == (trials, 999 * 1000 // 2)
-    pool, = _FakePool.seen
-    assert pool.max_workers == 3 and len(pool.items) == 3
-    simulate._sum_blocks(_count_slots, ("head",), 2 * BLOCK_SLOTS, 16)
-    assert _FakePool.seen[-1].max_workers == 2
-    assert len(_FakePool.seen[-1].items) == 2
+    three, one = _FakePool.seen
+    assert three.items == [(1,), (2,)] and one.items == []
+    simulate._sum_blocks(_count_slots, 2 * BLOCK_SLOTS, 16)
+    assert _FakePool.seen[-1].items == [(1,)]
+    # W is capped at this process's CPUs, read from its affinity where the
+    # platform has one and from cpu_count (which may not know) elsewhere
+    for os_view, shares in ((_cpus(3), 3), (_cpus(1), 1),
+                            (SimpleNamespace(cpu_count=lambda: 4), 4),
+                            (SimpleNamespace(cpu_count=lambda: None), 1)):
+        monkeypatch.setattr(simulate, "os", os_view)
+        assert simulate._sum_blocks(_count_slots, trials, 100_000) == total
+        assert len(_FakePool.seen[-1].items) == shares - 1
+
+
+class _Interrupt(Exception):
+    pass
+
+
+def test_fold_stops_other_shares_when_one_raises(monkeypatch):
+    # share 0 raises on its first block while share 1 is inside its second,
+    # of 200; once the fold's stop flag is set, share 1 must skip the rest
+    # rather than fold them all (else a Ctrl-C on a long run waits out every
+    # share), and the error must reach the caller.  The test reads the flag
+    # through simulate's threading, so it waits on no timing.
+    stop = threading.Event()
+    monkeypatch.setattr(simulate, "threading", SimpleNamespace(Event=lambda: stop))
+    monkeypatch.setattr(simulate, "os", _cpus(2))
+    started, ran = threading.Event(), []
+
+    def task(index, n):
+        if index == 0:
+            assert started.wait(10)
+            raise _Interrupt
+        ran.append(index)
+        if index == 1:
+            started.set()
+        elif index == 3:
+            stop.wait(10)
+        return n, index
+
+    with pytest.raises(_Interrupt):
+        simulate._sum_blocks(task, 400, 2, block=1)
+    assert stop.is_set()
+    assert 2 <= len(ran) <= 3, ran
 
 
 def test_block_size_shrinks_past_m65(monkeypatch):
@@ -121,9 +167,9 @@ def test_block_size_shrinks_past_m65(monkeypatch):
     seen = []
 
     def sizes(result):
-        def task(args):
+        def task(cfg, *args):
             seen.append(args[-1])
-            return result(args[0].M)
+            return result(cfg.M)
         return task
 
     monkeypatch.setattr(simulate, "_outage_block", sizes(lambda M: (0, 0, np.zeros(M, int))))
@@ -176,11 +222,11 @@ def test_chunked_blocks_match_whole_block_reference(M):
     for case in ("direct", "nodirect"):
         cfg = _cfg(case, M=M, gamma_p=5.0 * M)
         for n in sorted({1, max(1, rows - 1), rows, rows + 1, full}):
-            got = simulate._outage_block((cfg, 3, n, n))
-            want = outage_block_ref((cfg, 3, n, n))
+            got = simulate._outage_block(cfg, 3, n, n)
+            want = outage_block_ref(cfg, 3, n, n)
             assert got[:2] == want[:2] and np.array_equal(got[2], want[2]), (case, n)
-            got = simulate._schedule_block((cfg, omega, 4, n, n))
-            want = schedule_block_ref((cfg, omega, 4, n, n))
+            got = simulate._schedule_block(cfg, omega, 4, n, n)
+            want = schedule_block_ref(cfg, omega, 4, n, n)
             assert np.array_equal(got[0], want[0]) and got[1] == want[1], (case, n)
 
 
