@@ -29,7 +29,8 @@ directions (`_case1_h`), not from `scipy.special.hyp2f1`, which on scipy
 The Gamma(n, 1) beamforming gain enters both through Poisson terms: the pmf
 and the tails P(n, x) = Pr{Poisson(x) >= n}, the regularized incomplete
 gamma at integer order.  One routine, `_poisson`, gives both closed forms all
-of them from finite sums of positive terms, with no scipy.
+of them from finite sums of positive terms, with no scipy.  Both take the
+decoding-set pmf as the float list `channel._decoding_pmf`, as `search_zeta` does.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from sys import float_info
 
 import numpy as np
 
-from .channel import decoding_set_pmf
+from .channel import _decoding_pmf
 from .config import Case, SystemConfig, snr_threshold
 
 _log = logging.getLogger(__name__)
@@ -70,7 +71,6 @@ def _clip_unit(x: float) -> float:
 
 
 def _breakdown(nu1: float, nu2: float) -> OutageBreakdown:
-    nu1, nu2 = float(nu1), float(nu2)     # the pmf makes them numpy scalars
     total = nu1 + nu2
     # each part, like their sum, can round a few ulp past 1
     nu1, nu2, nu = map(_clip_unit, (nu1, nu2, total))
@@ -172,6 +172,12 @@ def _exp(x: float) -> float:
         return inf
 
 
+def _interference_map(cg: float) -> tuple[float, float]:
+    """(a, b) = (cg/(1+cg), 1/(1+cg)), a formed without cancellation on either side of 1."""
+    b = 1.0 / (1.0 + cg)
+    return (cg * b if cg <= 1.0 else 1.0 - b), b
+
+
 # --- case 1: direct link + MRC ------------------------------------------
 
 
@@ -182,9 +188,7 @@ def _threshold_q(cfg: SystemConfig) -> float:
 def _nu_small_k(cfg: SystemConfig, pmf) -> float:
     """nu2: probability that K < 2 and (case 1 only) the direct link fails."""
     p_lt2 = pmf[0] + pmf[1] if cfg.M > 2 else 1.0
-    if cfg.case is Case.DIRECT_LINK:
-        return p_lt2 * -expm1(-_threshold_q(cfg))
-    return p_lt2
+    return p_lt2 * -expm1(-_threshold_q(cfg)) if cfg.case is Case.DIRECT_LINK else p_lt2
 
 
 def _case1_h(n: int, a: float, b: float) -> list:
@@ -237,9 +241,7 @@ def _case1_nu1(Q: float, gamma_s: float, pmf) -> float:
     the Poisson pmf, pi_j, a^k and h_k all lie in [0, n+1]: nothing overflows
     and, every term being positive, the deep tail keeps full relative precision.
     """
-    cg = Q * gamma_s
-    b = 1.0 / (1.0 + cg)
-    a = cg * b if cg <= 1.0 else 1.0 - b
+    a, b = _interference_map(Q * gamma_s)
     pois, tail = _poisson(len(pmf) - 1, Q)
     nu1 = 0.0
     for K in range(2, len(pmf)):
@@ -267,12 +269,7 @@ def case1_outage(cfg: SystemConfig) -> OutageBreakdown:
     """
     if cfg.case is not Case.DIRECT_LINK:
         raise InvalidCase("case1_outage needs cfg.case = DIRECT_LINK")
-    pmf = decoding_set_pmf(cfg)
-    nu2 = _nu_small_k(cfg, pmf)
-    Q = _threshold_q(cfg)
-    if Q == 0.0:
-        return _breakdown(0.0, nu2)
-    return _breakdown(_case1_nu1(Q, cfg.gamma_s, pmf), nu2)
+    return outage_probability(cfg)
 
 
 # --- case 2: no direct link ----------------------------------------------
@@ -290,9 +287,7 @@ def _case2_nu1(c: float, gamma_s: float, pmf) -> float:
     E[a^{(n-N)^+}] for N ~ Poisson(c), a sum of positive terms.
     """
     pois, tail = _poisson(len(pmf) - 2, c)
-    cg = c * gamma_s
-    b = 1.0 / (1.0 + cg)
-    a = cg * b if cg <= 1.0 else 1.0 - b
+    a, _ = _interference_map(c * gamma_s)
     nu1 = s = 0.0
     for n in range(1, len(pmf) - 1):
         s = a * (s + pois[n - 1])     # S_n = a (S_{n-1} + pi_{n-1})
@@ -304,19 +299,17 @@ def case2_outage(cfg: SystemConfig) -> OutageBreakdown:
     """Primary outage without a direct link: nu1 from `_case2_nu1`, nu2 = Pr{K < 2}."""
     if cfg.case is not Case.NO_DIRECT_LINK:
         raise InvalidCase("case2_outage needs cfg.case = NO_DIRECT_LINK")
-    pmf = decoding_set_pmf(cfg)
-    return _breakdown(_case2_nu1(_threshold_q(cfg), cfg.gamma_s, pmf), _nu_small_k(cfg, pmf))
+    return outage_probability(cfg)
 
 
 # --- both topologies -----------------------------------------------------
 
 
 def outage_probability(cfg: SystemConfig) -> OutageBreakdown:
-    if cfg.case is Case.DIRECT_LINK:
-        return case1_outage(cfg)
-    if cfg.case is Case.NO_DIRECT_LINK:
-        return case2_outage(cfg)
-    raise InvalidCase(f"unknown case {cfg.case!r}")
+    """nu1 from `_case1_nu1` or `_case2_nu1` by topology, nu2 from `_nu_small_k`."""
+    pmf = _decoding_pmf(cfg)
+    nu1 = _case1_nu1 if cfg.case is Case.DIRECT_LINK else _case2_nu1
+    return _breakdown(nu1(_threshold_q(cfg), cfg.gamma_s, pmf), _nu_small_k(cfg, pmf))
 
 
 def outage_highsnr(cfg: SystemConfig) -> float:
@@ -333,7 +326,7 @@ def outage_highsnr(cfg: SystemConfig) -> float:
     """
     d = 1 if cfg.case is Case.DIRECT_LINK else 0
     q_b = snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p
-    q_f = snr_threshold(cfg.forward_rate()) / cfg.gamma_p
+    q_f = _threshold_q(cfg)
     m = cfg.M - 1
     log_s = _log_moments(m - 1, cfg.gamma_s)
     return sum(

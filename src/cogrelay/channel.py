@@ -103,6 +103,10 @@ def _binomial_pmf(m: int, q: float) -> list:
     return [comb(m, K) * L**K * L_bar ** (m - K) for K in range(m + 1)]
 
 
+def _decoding_pmf(cfg: SystemConfig) -> list:
+    return _binomial_pmf(cfg.M - 1, snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p)
+
+
 def decoding_set_pmf(cfg: SystemConfig) -> np.ndarray:
-    """pmf of K = |decoding set|: Binomial(M-1, e^-q), q = (2^broadcast_rate - 1)/gamma_p."""
-    return np.array(_binomial_pmf(cfg.M - 1, snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p))
+    """Numpy view of `_decoding_pmf`: Binomial(M-1, e^-q), q = (2^broadcast_rate - 1)/gamma_p."""
+    return np.array(_decoding_pmf(cfg))

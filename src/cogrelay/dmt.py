@@ -8,7 +8,7 @@ from math import log2
 import numpy as np
 
 from .analytic import outage_probability
-from .config import Case, SystemConfig, _as_index
+from .config import Case, SystemConfig, _as_index, _as_real
 from .simulate import estimate_outage
 
 
@@ -73,6 +73,7 @@ def empirical_diversity(cfg: SystemConfig, r: float, gamma_grid,
     throughout so only the primary link scales.
     """
     source = DiversitySource(source)
+    r = _as_real("r", r)
     grid = np.asarray(gamma_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("gamma_grid must hold at least 3 SNRs")

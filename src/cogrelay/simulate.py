@@ -1,14 +1,14 @@
 """Full-protocol Monte Carlo: the ground-truth oracle for the closed forms.
 
 Slots are simulated in blocks of 16384 (2^20 // (M - 1) past M = 65), each
-drawn from its own counter-jumped substream of the master seed.  A block
-draws its power gains whole, then passes through the zero-forcing gain in
-chunks of 2^15 // (M - 1) slots (at least one), each chunk's normals drawn
-just before it is folded, so the normals and their gain temporaries never
-span a whole block.  Each of W threads folds the strided share w, w + W, ...
-of the blocks as it draws them (W is at most the blocks and the CPUs; numpy
-drops the interpreter lock to draw and reduce), so memory does not grow with
-the trial count.  Threads never change a block, so counts are bit-identical for any W.
+drawn from its own counter-jumped substream of the master seed.  Both block
+tasks count over `_block_events`: power gains drawn whole, then normals drawn
+and passed through the zero-forcing gain in chunks of 2^15 // (M - 1) slots
+(at least one), so they never span a whole block.  Each of W threads folds
+the strided share w, w + W, ... of the blocks as it draws them (W is at most
+the blocks and the CPUs; numpy drops the interpreter lock to draw and
+reduce), so memory does not grow with the trial count.  Threads never change
+a block, so counts are bit-identical for any W.
 """
 from __future__ import annotations
 
@@ -61,8 +61,7 @@ def _slot_events(cfg: SystemConfig, block: ChannelBlock):
     """Vectorized per-slot outcomes: (primary_ok, secondary_ok, K) arrays."""
     mask = decode_mask(cfg, block)
     k = mask.sum(axis=1)
-    alpha = effective_gain(block.h_relay_pd, block.h_relay_sd, mask)
-    alpha = np.where(k >= 2, alpha, 0.0)
+    alpha = np.where(k >= 2, effective_gain(block.h_relay_pd, block.h_relay_sd, mask), 0.0)
     phi = cfg.gamma_s * block.h_v_pd
     relayed = cfg.gamma_p * alpha / (1.0 + phi)
     thr = snr_threshold(cfg.forward_rate())
@@ -72,8 +71,7 @@ def _slot_events(cfg: SystemConfig, block: ChannelBlock):
     else:
         # nothing reaches pd unless at least two relays cooperated
         primary_ok = (k >= 2) & (relayed >= thr)
-    thr_s = snr_threshold(cfg.secondary_rate())
-    secondary_ok = cfg.gamma_s * block.h_v_sd >= thr_s
+    secondary_ok = cfg.gamma_s * block.h_v_sd >= snr_threshold(cfg.secondary_rate())
     return primary_ok, secondary_ok, k
 
 
@@ -87,29 +85,26 @@ def _add(total: tuple, result: tuple) -> tuple:
     return tuple(map(operator.add, total, result))
 
 
-def _chunk_events(cfg: SystemConfig, n: int, rng: np.random.Generator):
-    """_slot_events of each chunk of an n-slot draw from rng, chunk by chunk."""
+def _block_events(cfg: SystemConfig, n: int, rng: np.random.Generator):
+    """_slot_events of an n-slot draw from rng, formed chunk by chunk and joined."""
     rows = max(1, _CHUNK_LINKS // (cfg.M - 1))
-    return (_slot_events(cfg, chunk) for chunk in _draw_chunks(cfg, n, rng, rows))
+    chunks = [_slot_events(cfg, chunk) for chunk in _draw_chunks(cfg, n, rng, rows)]
+    return tuple(map(np.concatenate, zip(*chunks)))
 
 
 def _outage_block(cfg, seed, index, n):
-    return reduce(_add, ((
-        int(np.count_nonzero(~primary_ok)),
-        int(np.count_nonzero(~secondary_ok)),
-        np.bincount(k, minlength=cfg.M),
-    ) for primary_ok, secondary_ok, k in _chunk_events(cfg, n, substream(seed, index))))
+    primary_ok, secondary_ok, k = _block_events(cfg, n, substream(seed, index))
+    return (int(np.count_nonzero(~primary_ok)), int(np.count_nonzero(~secondary_ok)),
+            np.bincount(k, minlength=cfg.M))
 
 
 def _schedule_block(cfg, omega, seed, index, n):
     rng = substream(seed, index)
-    events = list(_chunk_events(cfg, n, rng))   # channel draws first,
-    u = rng.random(n)                           # scheduling uniforms after
-    scheduled = np.searchsorted(np.cumsum(omega), u, side="right")
-    scheduled = np.minimum(scheduled, len(omega) - 1)
-    secondary_ok = np.concatenate([ok for _, ok, _ in events])
+    primary_ok, secondary_ok, _ = _block_events(cfg, n, rng)   # channel draws first,
+    u = rng.random(n)                                           # scheduling uniforms after
+    scheduled = np.minimum(np.searchsorted(np.cumsum(omega), u, side="right"), len(omega) - 1)
     succ = np.bincount(scheduled[secondary_ok], minlength=len(omega))
-    return succ, sum(int(np.count_nonzero(ok)) for ok, _, _ in events)
+    return succ, int(np.count_nonzero(primary_ok))
 
 
 def _sum_blocks(task, trials: int, workers: int, block=BLOCK_SLOTS) -> tuple:
@@ -128,6 +123,10 @@ def _sum_blocks(task, trials: int, workers: int, block=BLOCK_SLOTS) -> tuple:
             return reduce(_add, pool.map(share, range(1, shares)), share(0))
         finally:
             stop.set()
+
+
+def _fold(cfg: SystemConfig, task, trials: int, workers: int) -> tuple:
+    return _sum_blocks(task, trials, workers, min(BLOCK_SLOTS, 2**20 // (cfg.M - 1)))
 
 
 def _check_run(trials, seed, workers) -> tuple:
@@ -157,8 +156,7 @@ def estimate_outage(cfg: SystemConfig, trials: int, seed: int = 0,
     integers; anything else raises ValueError.
     """
     trials, seed, workers = _check_run(trials, seed, workers)
-    p_out, s_out, k_counts = _sum_blocks(partial(_outage_block, cfg, seed), trials, workers,
-                                         min(BLOCK_SLOTS, 2**20 // (cfg.M - 1)))
+    p_out, s_out, k_counts = _fold(cfg, partial(_outage_block, cfg, seed), trials, workers)
     return OutageSimulation(primary=_estimate(p_out, trials), secondary=_estimate(s_out, trials),
                             k_counts=k_counts, trials=trials)
 
@@ -180,13 +178,8 @@ def estimate_schedule_throughput(cfg: SystemConfig, omega, trials: int,
     if (len(omega) != cfg.M or not all(0.0 <= w < inf for w in omega)
             or abs(fsum(omega) - 1.0) > 1e-9):
         raise ValueError("omega must be M finite nonnegative probabilities summing to 1")
-    succ, p_ok = _sum_blocks(partial(_schedule_block, cfg, omega, seed), trials,
-                             workers, min(BLOCK_SLOTS, 2**20 // (cfg.M - 1)))
-    mu = succ / trials
-    return ScheduleEstimate(
-        mu_hat=mu,
-        stderr=np.sqrt(mu * (1.0 - mu) / trials),
-        primary_throughput=p_ok / trials,
-        primary_stderr=sqrt((p_ok / trials) * (1.0 - p_ok / trials) / trials),
-        trials=trials,
-    )
+    succ, p_ok = _fold(cfg, partial(_schedule_block, cfg, omega, seed), trials, workers)
+    mu, primary = succ / trials, _estimate(p_ok, trials)
+    return ScheduleEstimate(mu_hat=mu, stderr=np.sqrt(mu * (1.0 - mu) / trials),
+                            primary_throughput=primary.p_hat, primary_stderr=primary.stderr,
+                            trials=trials)

@@ -7,6 +7,7 @@ Carlo with fixed seeds.  No expected value is copied out of the library.
 """
 import itertools
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -128,9 +129,9 @@ def test_expected_poisson_tail_quadrature_oracle(monkeypatch):
             0.0, 60.0, epsabs=0.0, epsrel=1e-11, limit=200)
         cfg = _cfg(M=n + 3, gamma_s=gs, case="nodirect")
         cfg = replace(cfg, gamma_p=snr_threshold(cfg.forward_rate()) / c)
-        pmf = np.zeros(cfg.M)
+        pmf = [0.0] * cfg.M
         pmf[n + 1] = 1.0
-        monkeypatch.setattr(analytic, "decoding_set_pmf", lambda _cfg: pmf)
+        monkeypatch.setattr(analytic, "_decoding_pmf", lambda _cfg: pmf)
         got = case2_outage(cfg).nu1
         assert math.isclose(got, ref, rel_tol=1e-8), (n, c, gs, got, ref)
 
@@ -432,6 +433,27 @@ def test_rate_zero_edges():
     assert case1_outage(_cfg(R=0.0)).nu == 0.0
     assert case2_outage(_cfg(M=3, R=0.0, case="nodirect")).nu == 0.0
     assert case2_outage(_cfg(M=2, R=0.0, case="nodirect")).nu == 1.0
+
+
+@pytest.mark.parametrize("M", [2, 3, 1024])
+def test_rate_zero_has_no_relayed_outage(M):
+    # at R = 0 the thresholds vanish, so the general sums give nu1 = +0.0
+    # exactly, with no R = 0 branch
+    for out in (case1_outage(_cfg(M=M, R=0.0)),
+                case2_outage(_cfg(M=M, R=0.0, case="nodirect"))):
+        assert out.nu1 == 0.0 and math.copysign(1.0, out.nu1) == 1.0, (M, out)
+
+
+def test_closed_forms_stop_within_time_budget():
+    # every point of a fixed grid over the domain returns in well under 5 s;
+    # the slowest, M = 1024 in case 1, took about 0.4 s on a 2-core host
+    for M, case, gamma_p, R in itertools.product(
+            (2, 40, 1024), ("direct", "nodirect"), (1e-3, 1.0, 1e8), (0.01, 4.0)):
+        cfg = _cfg(M=M, gamma_p=gamma_p, R=R, case=case)
+        for fn in (outage_probability, outage_highsnr):
+            t0 = time.perf_counter()
+            fn(cfg)
+            assert time.perf_counter() - t0 < 5.0, (fn.__name__, cfg)
 
 
 def test_extreme_rate_saturates_cleanly():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,6 +48,34 @@ def test_validation_rejects(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         SystemConfig(**base)
+
+
+_NOT_REAL = ["0.5", None, 0.5 + 0j, True, False, np.bool_(True), 10**400]
+
+
+@pytest.mark.parametrize("bad", _NOT_REAL)
+@pytest.mark.parametrize("name", ["gamma_p", "gamma_s", "R", "zeta", "lambda_p", "lambda_s"])
+def test_real_fields_reject_non_reals(name, bad):
+    # strings, None, complex numbers, bools and ints past the float range are
+    # a ValueError, never a TypeError; True would otherwise pass as 1
+    base = dict(M=4, gamma_p=50.0, gamma_s=30.0, R=0.5)
+    base[name] = (0.0, bad, 0.0, 0.0) if name == "lambda_s" else bad
+    with pytest.raises(ValueError, match=name):
+        SystemConfig(**base)
+
+
+def test_real_fields_stored_as_plain_floats():
+    # ints, numpy scalars and fractions are stored as floats of equal value,
+    # so every outcome matches the all-float config
+    cfg = SystemConfig(M=4, gamma_p=50, gamma_s=np.float32(30.0), R=np.int64(1),
+                       case=Case.NO_DIRECT_LINK, zeta=Fraction(1, 4),
+                       lambda_p=np.float64(0.1), lambda_s=(0, np.float32(0.25), Fraction(1, 8), 1))
+    ref = SystemConfig(M=4, gamma_p=50.0, gamma_s=30.0, R=1.0, case=Case.NO_DIRECT_LINK,
+                       zeta=0.25, lambda_p=0.1, lambda_s=(0.0, 0.25, 0.125, 1.0))
+    assert cfg == ref
+    for v in (cfg.gamma_p, cfg.gamma_s, cfg.R, cfg.zeta, cfg.lambda_p, *cfg.lambda_s):
+        assert type(v) is float, v
+    assert outage_probability(cfg) == outage_probability(ref)
 
 
 @pytest.mark.parametrize("case", list(Case))

@@ -103,6 +103,9 @@ def test_empirical_diversity_validation():
         empirical_diversity(cfg, 0.0, [10.0, 10.0, 20.0])
     with pytest.raises(ValueError):
         empirical_diversity(cfg, 0.0, np.logspace(3, 5, 5), source="monte_carlo")
+    for r in ("0", None, 0j, False):                 # not a real multiplexing gain
+        with pytest.raises(ValueError, match="r must be a real number"):
+            empirical_diversity(cfg, r, good)
 
 
 def test_degenerate_fit():

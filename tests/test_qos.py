@@ -278,17 +278,17 @@ def test_search_zeta_scan_matches_public_functions(monkeypatch):
 
 def test_search_zeta_builds_at_most_one_config(monkeypatch):
     # a feasible search validates one config, the split it returns; an
-    # infeasible one none, and neither builds a numpy pmf
+    # infeasible one none, and neither builds a pmf from a config
     built, pmfs = [], []
     post_init = SystemConfig.__post_init__
-    real_pmf = cogrelay.analytic.decoding_set_pmf
+    real_pmf = cogrelay.analytic._decoding_pmf
 
     def counted_post_init(self):
         built.append(self.zeta)
         post_init(self)
 
     monkeypatch.setattr(SystemConfig, "__post_init__", counted_post_init)
-    monkeypatch.setattr(cogrelay.analytic, "decoding_set_pmf",
+    monkeypatch.setattr(cogrelay.analytic, "_decoding_pmf",
                         lambda cfg: pmfs.append(cfg) or real_pmf(cfg))
     for M in (4, 5, 6):
         for R in np.linspace(0.0, 1.5, 31):
