@@ -41,7 +41,7 @@ from sys import float_info
 
 import numpy as np
 
-from .channel import _decoding_pmf
+from .channel import _decoding_pmf, _small_k_mass
 from .config import Case, SystemConfig, snr_threshold
 
 _log = logging.getLogger(__name__)
@@ -185,9 +185,9 @@ def _threshold_q(cfg: SystemConfig) -> float:
     return snr_threshold(cfg.forward_rate()) / cfg.gamma_p
 
 
-def _nu_small_k(cfg: SystemConfig, pmf) -> float:
-    """nu2: probability that K < 2 and (case 1 only) the direct link fails."""
-    p_lt2 = pmf[0] + pmf[1] if cfg.M > 2 else 1.0
+def _nu_small_k(cfg: SystemConfig, q: float) -> float:
+    """nu2: Pr{K < 2} at per-relay threshold q, times (case 1 only) Pr{direct link fails}."""
+    p_lt2 = _small_k_mass(cfg.M - 1, q)
     return p_lt2 * -expm1(-_threshold_q(cfg)) if cfg.case is Case.DIRECT_LINK else p_lt2
 
 
@@ -307,9 +307,9 @@ def case2_outage(cfg: SystemConfig) -> OutageBreakdown:
 
 def outage_probability(cfg: SystemConfig) -> OutageBreakdown:
     """nu1 from `_case1_nu1` or `_case2_nu1` by topology, nu2 from `_nu_small_k`."""
-    pmf = _decoding_pmf(cfg)
     nu1 = _case1_nu1 if cfg.case is Case.DIRECT_LINK else _case2_nu1
-    return _breakdown(nu1(_threshold_q(cfg), cfg.gamma_s, pmf), _nu_small_k(cfg, pmf))
+    nu2 = _nu_small_k(cfg, snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p)
+    return _breakdown(nu1(_threshold_q(cfg), cfg.gamma_s, _decoding_pmf(cfg)), nu2)
 
 
 def outage_highsnr(cfg: SystemConfig) -> float:

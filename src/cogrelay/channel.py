@@ -103,6 +103,12 @@ def _binomial_pmf(m: int, q: float) -> list:
     return [comb(m, K) * L**K * L_bar ** (m - K) for K in range(m + 1)]
 
 
+def _small_k_mass(m: int, q: float) -> float:
+    """Pr{K < 2}: pmf[0] + pmf[1] of `_binomial_pmf(m, q)` bit for bit, with no list; 1 at m = 1."""
+    L, L_bar = exp(-q), -expm1(-q)
+    return L_bar**m + m * L * L_bar ** (m - 1) if m > 1 else 1.0
+
+
 def _decoding_pmf(cfg: SystemConfig) -> list:
     return _binomial_pmf(cfg.M - 1, snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p)
 

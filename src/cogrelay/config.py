@@ -47,7 +47,10 @@ class SystemConfig:
         if not isinstance(self.case, Case):
             object.__setattr__(self, "case", Case(self.case))
         targets = (0.0,) * self.M if self.lambda_s is None else self.lambda_s
-        object.__setattr__(self, "lambda_s", tuple(_as_real("lambda_s", x) for x in targets))
+        try:
+            object.__setattr__(self, "lambda_s", tuple(_as_real("lambda_s", x) for x in targets))
+        except TypeError:
+            raise ValueError(f"lambda_s must be a sequence of reals, got {targets!r}") from None
         if not (0.0 < self.gamma_p < math.inf and 0.0 < self.gamma_s < math.inf):
             raise ValueError(f"SNRs must be finite and > 0, got {self.gamma_p} and {self.gamma_s}")
         if not math.isfinite(self.R) or self.R < 0:

@@ -7,8 +7,8 @@ primary stays below its outage budget is a pair of linear constraints; the
 closed-form optimum assigns omega_j = lambda_j / f to everyone except the
 tagged user k, which absorbs the rest of the frame.  One solver, `_solve`,
 evaluates nu once per operating point; the public functions, the CLI rows
-(`_row`) and the split `search_zeta` returns are views of it.  The search
-scans earlier splits on scalars, bit for bit, with no config per split.
+(`_row`) and the split `search_zeta` returns are views of it.  Its scan
+prunes splits on scalars, bit for bit, and builds a pmf list only for nu1.
 """
 from __future__ import annotations
 
@@ -116,8 +116,8 @@ def search_zeta(cfg: SystemConfig, k: int, grid_size: int = 999) -> QosSolution:
     the grid optimum (largest slack, then lambda_k_max, then smallest zeta);
     with none, an infeasible marker is returned.  Exact prunes before the
     outage closed form: stop once sum(lambda_s) > f; skip a point with
-    lambda_p > 1 - min(nu2, 1), which is >= 1 - nu because nu1 >= 0.  Splits
-    cost scalars (f and c share 2^(R/(1-zeta)) - 1; nu2 and nu1 a pmf list).
+    lambda_p > 1 - min(nu2, 1), which is >= 1 - nu because nu1 >= 0; nu2 is the
+    two-term K < 2 mass, and only a split past both prunes builds a pmf list.
     """
     if cfg.case is not Case.NO_DIRECT_LINK:
         raise InvalidCase("search_zeta applies to the no-direct-link case only")
@@ -131,9 +131,10 @@ def search_zeta(cfg: SystemConfig, k: int, grid_size: int = 999) -> QosSolution:
         thr_f = snr_threshold(cfg.R / (1.0 - zeta))
         if total > _success_prob(thr_f, cfg.gamma_s):
             break
-        pmf = _binomial_pmf(cfg.M - 1, snr_threshold(cfg.R / zeta) / cfg.gamma_p)
-        nu2 = _nu_small_k(cfg, pmf)     # reads no zeta without a direct link
+        q = snr_threshold(cfg.R / zeta) / cfg.gamma_p
+        nu2 = _nu_small_k(cfg, q)     # reads no zeta without a direct link
         if cfg.lambda_p <= 1.0 - min(nu2, 1.0):
+            pmf = _binomial_pmf(cfg.M - 1, q)
             nu = _clip_unit(_case2_nu1(thr_f / cfg.gamma_p, cfg.gamma_s, pmf) + nu2)
             if cfg.lambda_p <= 1.0 - nu:
                 return _solve(replace(cfg, zeta=zeta), k, nu)[0]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .beamform import effective_gain
 from .channel import ChannelBlock, _draw_chunks, decode_mask, substream
-from .config import Case, SystemConfig, _as_index, snr_threshold
+from .config import Case, SystemConfig, _as_index, _as_real, snr_threshold
 
 BLOCK_SLOTS = 16384
 _CHUNK_LINKS = 2**15       # relay links per chunk of a block
@@ -174,7 +174,7 @@ def estimate_schedule_throughput(cfg: SystemConfig, omega, trials: int,
     else raises ValueError.
     """
     trials, seed, workers = _check_run(trials, seed, workers)
-    omega = tuple(float(w) for w in omega)
+    omega = tuple(_as_real("omega", w) for w in omega)
     if (len(omega) != cfg.M or not all(0.0 <= w < inf for w in omega)
             or abs(fsum(omega) - 1.0) > 1e-9):
         raise ValueError("omega must be M finite nonnegative probabilities summing to 1")

@@ -2,7 +2,8 @@
 
 `average_over_phi` is the adaptive quadrature the closed forms are checked
 against, and `case1_outage_given_phi` / `case2_outage_given_phi` the
-phi-conditional outages it averages.  `outage_mp` builds nu from the model's
+phi-conditional outages it averages, with `decoding_q` the per-relay
+threshold that `_nu_small_k` takes.  `outage_mp` builds nu from the model's
 laws in high-precision finite sums, sharing no code with the closed forms;
 `case2_nu1_mp` is the case-2 finite sum itself, where float e^-c underflows.
 `search_zeta_exhaustive` is the full grid scan behind `search_zeta`,
@@ -130,12 +131,16 @@ def _case1_nu1_given_phi(cfg: SystemConfig, phi: float) -> float:
     return sum(pmf[K] * _case1_bracket(K, Q, phi) for K in range(2, cfg.M))
 
 
+def decoding_q(cfg: SystemConfig) -> float:
+    """Per-relay decoding threshold (2^broadcast_rate - 1)/gamma_p, as `_nu_small_k` takes it."""
+    return snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p
+
+
 def case1_outage_given_phi(cfg: SystemConfig, phi: float) -> OutageBreakdown:
     """Outage probabilities conditioned on the interference level phi."""
     if cfg.case is not Case.DIRECT_LINK:
         raise InvalidCase("case1_outage_given_phi needs cfg.case = DIRECT_LINK")
-    pmf = decoding_set_pmf(cfg)
-    return _breakdown(_case1_nu1_given_phi(cfg, phi), _nu_small_k(cfg, pmf))
+    return _breakdown(_case1_nu1_given_phi(cfg, phi), _nu_small_k(cfg, decoding_q(cfg)))
 
 
 def case2_outage_given_phi(cfg: SystemConfig, phi: float) -> OutageBreakdown:
@@ -145,7 +150,7 @@ def case2_outage_given_phi(cfg: SystemConfig, phi: float) -> OutageBreakdown:
     x_zeta = snr_threshold(cfg.forward_rate()) * (1.0 + phi) / cfg.gamma_p
     pmf = decoding_set_pmf(cfg)
     nu1 = sum(pmf[K] * special.gammainc(K - 1, x_zeta) for K in range(2, cfg.M))
-    return _breakdown(nu1, _nu_small_k(cfg, pmf))
+    return _breakdown(nu1, _nu_small_k(cfg, decoding_q(cfg)))
 
 
 def projection_matrix(h_sd: np.ndarray) -> np.ndarray:

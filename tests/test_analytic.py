@@ -456,6 +456,22 @@ def test_closed_forms_stop_within_time_budget():
             assert time.perf_counter() - t0 < 5.0, (fn.__name__, cfg)
 
 
+_POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(M=st.integers(2, 1024), case=st.sampled_from(("direct", "nodirect")),
+       gamma_p=_POSITIVE, gamma_s=_POSITIVE, R=st.floats(0.0, allow_infinity=False),
+       zeta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_closed_forms_stop_within_time_budget_anywhere(M, case, gamma_p, gamma_s, R, zeta):
+    # the fixed grid above, drawn over the whole documented domain instead
+    cfg = _cfg(M=M, gamma_p=gamma_p, gamma_s=gamma_s, R=R, case=case, zeta=zeta)
+    for fn in (outage_probability, outage_highsnr):
+        t0 = time.perf_counter()
+        fn(cfg)
+        assert time.perf_counter() - t0 < 5.0, (fn.__name__, cfg)
+
+
 def test_extreme_rate_saturates_cleanly():
     b = case1_outage(_cfg(R=3000.0))
     assert b.nu == 1.0 and not math.isnan(b.nu1)

@@ -6,6 +6,7 @@ from scipy import stats
 
 from cogrelay import (Case, SystemConfig, decode_mask, decoding_set_pmf,
                       draw_realizations, snr_threshold, substream)
+from cogrelay.channel import _binomial_pmf, _small_k_mass
 
 
 def _cfg(case="direct", M=4, R=0.5):
@@ -166,3 +167,12 @@ def test_pmf_keeps_precision_at_tiny_threshold():
     assert math.isclose(pmf[3], 4 * 1e-20, rel_tol=1e-14)
     assert math.isclose(pmf[0], 1e-80, rel_tol=1e-14)
     assert pmf[4] == 1.0
+
+
+def test_small_k_mass_is_first_two_pmf_terms_bit_for_bit():
+    # the scalar K < 2 mass that prunes slot splits is the list's pmf[0] + pmf[1]
+    # exactly, from the underflow edge of q through q = inf
+    for m in (1, 2, 3, 6, 39, 1023):
+        for q in (0.0, 5e-324, 1e-300, 1e-16, 0.5, 745.0, 800.0, math.inf):
+            pmf = _binomial_pmf(m, q)
+            assert _small_k_mass(m, q) == pmf[0] + pmf[1], (m, q)

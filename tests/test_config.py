@@ -40,6 +40,8 @@ def test_lambda_s_normalized_to_floats():
     dict(lambda_p=1.01),
     dict(lambda_s=(0.1, 0.2)),           # wrong length for M=4
     dict(lambda_s=(0.1, 0.2, 0.3, 1.5)),  # out of [0, 1]
+    dict(lambda_s=5),                    # not a sequence
+    dict(lambda_s=0.5),
     dict(M=1025),                        # past the largest M, 1024
     dict(M=1025, case=Case.NO_DIRECT_LINK),
 ])

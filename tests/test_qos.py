@@ -12,7 +12,7 @@ from cogrelay import (InvalidCase, PrimaryInfeasible, SecondaryInfeasible,
                       outage_probability, search_zeta, secondary_success_prob,
                       solve_assignment)
 from cogrelay.analytic import _nu_small_k
-from oracles import search_zeta_exhaustive
+from oracles import decoding_q, search_zeta_exhaustive
 
 # the figure presets: users 2..M demand these rates, user 1 is the tagged one
 _TARGETS = (0.1, 0.2, 0.1, 0.15, 0.1)
@@ -21,6 +21,15 @@ _TARGETS = (0.1, 0.2, 0.1, 0.15, 0.1)
 def _preset(M, R, case="direct", zeta=0.5):
     return SystemConfig(M=M, gamma_p=50.0, gamma_s=30.0, R=R, case=case,
                         zeta=zeta, lambda_p=0.1, lambda_s=(0.0,) + _TARGETS[:M - 1])
+
+
+def _nu2_checked(cfg):
+    """nu2 of a no-direct-link config through `_nu_small_k`, checked bit for bit
+    against pmf[0] + pmf[1] of `decoding_set_pmf` (1 at M = 2, where K < 2 surely)."""
+    nu2 = _nu_small_k(cfg, decoding_q(cfg))
+    pmf = decoding_set_pmf(cfg)
+    assert nu2 == (pmf[0] + pmf[1] if cfg.M > 2 else 1.0), cfg
+    return nu2
 
 
 def test_success_prob_value():
@@ -128,7 +137,7 @@ def test_search_zeta_keeps_split_where_nu2_rounds_above_one():
     first = replace(cfg, zeta=0.05)
     # the raw nu2 that search_zeta prunes with rounds above 1; the public
     # breakdown clips it
-    assert _nu_small_k(first, decoding_set_pmf(first)) > 1.0
+    assert _nu2_checked(first) > 1.0
     out = outage_probability(first)
     assert out.nu2 == 1.0 and out.nu == 1.0
     assert search_zeta(cfg, 0, grid_size=19).zeta == 0.05
@@ -269,7 +278,7 @@ def test_search_zeta_scan_matches_public_functions(monkeypatch):
             assert f == secondary_success_prob(at[i]), (cfg, i)
             n_f0 += f == 0.0
         for i, nu2 in seen["nu2"]:
-            assert nu2 == _nu_small_k(at[i], decoding_set_pmf(at[i])), (cfg, i)
+            assert nu2 == _nu2_checked(at[i]), (cfg, i)
         for i, nu in seen["nu"]:
             assert nu == outage_probability(at[i]).nu, (cfg, i)
         n_nu += len(seen["nu"])
@@ -297,3 +306,24 @@ def test_search_zeta_builds_at_most_one_config(monkeypatch):
             sol = search_zeta(cfg, 0)
             assert built == ([sol.zeta] if sol.feasible else []), (M, R)
     assert not pmfs
+
+
+def test_search_zeta_builds_pmf_only_for_nu1(monkeypatch):
+    # the K < 2 prune reads a scalar mass, so every pmf list built over the
+    # 93 fig2 searches feeds a case-2 nu1 sum; a list per split that reaches
+    # the prune would be 11,116 of them
+    counts = {"pmf": 0, "nu1": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    qos = cogrelay.qos
+    monkeypatch.setattr(qos, "_binomial_pmf", counted("pmf", qos._binomial_pmf))
+    monkeypatch.setattr(qos, "_case2_nu1", counted("nu1", qos._case2_nu1))
+    for M in (4, 5, 6):
+        for R in np.linspace(0.0, 1.5, 31):
+            search_zeta(_preset(M, float(R), case="nodirect"), 0)
+    assert counts == {"pmf": 572, "nu1": 572}

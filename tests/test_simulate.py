@@ -319,6 +319,12 @@ def test_schedule_throughput_validation_and_determinism():
                   (0.2, 0.3, 0.5 + 1e-8)):
         with pytest.raises(ValueError, match="omega"):
             estimate_schedule_throughput(cfg, omega, 100, seed=0)
+    # each share is a real number: a string, None, a complex or a bool is a
+    # ValueError, never a TypeError or a share parsed from text
+    for omega in (("0.5", 0.5, 0.0), (None, 0.5, 0.5), (0.5 + 0j, 0.5, 0.0),
+                  (True, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="omega"):
+            estimate_schedule_throughput(cfg, omega, 100, seed=0)
     a = estimate_schedule_throughput(cfg, (0.2, 0.3, 0.5), 40_000, seed=3, workers=1)
     b = estimate_schedule_throughput(cfg, (0.2, 0.3, 0.5), 40_000, seed=3, workers=2)
     assert np.array_equal(a.mu_hat, b.mu_hat)
