@@ -30,7 +30,7 @@ The Gamma(n, 1) beamforming gain enters both through Poisson terms: the pmf
 and the tails P(n, x) = Pr{Poisson(x) >= n}, the regularized incomplete
 gamma at integer order.  One routine, `_poisson`, gives both closed forms all
 of them from finite sums of positive terms, with no scipy.  Both take the
-decoding-set pmf as the float list `channel._decoding_pmf`, as `search_zeta` does.
+decoding-set pmf as the float list `channel._binomial_pmf`, as `search_zeta` does.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from sys import float_info
 
 import numpy as np
 
-from .channel import _decoding_pmf, _small_k_mass
+from .channel import _binomial_pmf, _small_k_mass
 from .config import Case, SystemConfig, snr_threshold
 
 _log = logging.getLogger(__name__)
@@ -186,9 +186,13 @@ def _threshold_q(cfg: SystemConfig) -> float:
 
 
 def _nu_small_k(cfg: SystemConfig, q: float) -> float:
-    """nu2: Pr{K < 2} at per-relay threshold q, times (case 1 only) Pr{direct link fails}."""
+    """nu2: Pr{K < 2} at per-relay threshold q, times (case 1 only) Pr{direct link fails}.
+
+    With a direct link that hop runs at the broadcast's rate 2R, so it fails
+    with probability 1 - e^-q at the same q.
+    """
     p_lt2 = _small_k_mass(cfg.M - 1, q)
-    return p_lt2 * -expm1(-_threshold_q(cfg)) if cfg.case is Case.DIRECT_LINK else p_lt2
+    return p_lt2 * -expm1(-q) if cfg.case is Case.DIRECT_LINK else p_lt2
 
 
 def _case1_h(n: int, a: float, b: float) -> list:
@@ -306,10 +310,18 @@ def case2_outage(cfg: SystemConfig) -> OutageBreakdown:
 
 
 def outage_probability(cfg: SystemConfig) -> OutageBreakdown:
-    """nu1 from `_case1_nu1` or `_case2_nu1` by topology, nu2 from `_nu_small_k`."""
-    nu1 = _case1_nu1 if cfg.case is Case.DIRECT_LINK else _case2_nu1
-    nu2 = _nu_small_k(cfg, snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p)
-    return _breakdown(nu1(_threshold_q(cfg), cfg.gamma_s, _decoding_pmf(cfg)), nu2)
+    """nu1 from `_case1_nu1` or `_case2_nu1` by topology, nu2 from `_nu_small_k`.
+
+    Each threshold is formed once: the broadcast q feeds the pmf and nu2, and
+    with a direct link, where every hop runs at 2R, nu1 too.
+    """
+    q = snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p
+    pmf = _binomial_pmf(cfg.M - 1, q)
+    if cfg.case is Case.DIRECT_LINK:
+        nu1 = _case1_nu1(q, cfg.gamma_s, pmf)
+    else:
+        nu1 = _case2_nu1(_threshold_q(cfg), cfg.gamma_s, pmf)
+    return _breakdown(nu1, _nu_small_k(cfg, q))
 
 
 def outage_highsnr(cfg: SystemConfig) -> float:

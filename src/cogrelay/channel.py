@@ -109,10 +109,6 @@ def _small_k_mass(m: int, q: float) -> float:
     return L_bar**m + m * L * L_bar ** (m - 1) if m > 1 else 1.0
 
 
-def _decoding_pmf(cfg: SystemConfig) -> list:
-    return _binomial_pmf(cfg.M - 1, snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p)
-
-
 def decoding_set_pmf(cfg: SystemConfig) -> np.ndarray:
-    """Numpy view of `_decoding_pmf`: Binomial(M-1, e^-q), q = (2^broadcast_rate - 1)/gamma_p."""
-    return np.array(_decoding_pmf(cfg))
+    """Numpy view of `_binomial_pmf`: Binomial(M-1, e^-q), q = (2^broadcast_rate - 1)/gamma_p."""
+    return np.array(_binomial_pmf(cfg.M - 1, snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p))

@@ -86,10 +86,12 @@ class SystemConfig:
 
 
 def _as_index(name: str, x) -> int:
-    try:
-        return operator.index(x)
+    try:     # a bool is no count, though operator.index(True) is 1
+        if type(x) is not bool:
+            return operator.index(x)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+        pass
+    raise ValueError(f"{name} must be an integer, got {x!r}")
 
 
 def _as_real(name: str, x) -> float:

@@ -8,7 +8,8 @@ closed-form optimum assigns omega_j = lambda_j / f to everyone except the
 tagged user k, which absorbs the rest of the frame.  One solver, `_solve`,
 evaluates nu once per operating point; the public functions, the CLI rows
 (`_row`) and the split `search_zeta` returns are views of it.  Its scan
-prunes splits on scalars, bit for bit, and builds a pmf list only for nu1.
+bisects past the splits the K < 2 mass alone rules out, prunes the rest on
+scalars, bit for bit, and builds a pmf list only for nu1.
 """
 from __future__ import annotations
 
@@ -118,6 +119,14 @@ def search_zeta(cfg: SystemConfig, k: int, grid_size: int = 999) -> QosSolution:
     outage closed form: stop once sum(lambda_s) > f; skip a point with
     lambda_p > 1 - min(nu2, 1), which is >= 1 - nu because nu1 >= 0; nu2 is the
     two-term K < 2 mass, and only a split past both prunes builds a pmf list.
+
+    nu2 only falls as zeta grows, since the broadcast threshold 2^(R/zeta) - 1
+    does, so the scan starts past a bisection for the last split lo whose nu2
+    exceeds 1 - lambda_p + 1e-12 (none when that bound is 1 or more).  The
+    margin dwarfs the few-ulp error of nu2, so every split up to lo also has
+    nu2 above 1 - lambda_p and is one the loop would skip; a stop on f at or
+    before lo recurs at lo + 1, f only falling.  The result is bit for bit
+    that of the scan from split 1, for about log2(grid_size) nu2 evaluations.
     """
     if cfg.case is not Case.NO_DIRECT_LINK:
         raise InvalidCase("search_zeta applies to the no-direct-link case only")
@@ -126,8 +135,18 @@ def search_zeta(cfg: SystemConfig, k: int, grid_size: int = 999) -> QosSolution:
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1")
     total = fsum(cfg.lambda_s)
-    for i in range(1, grid_size + 1):
-        zeta = i / (grid_size + 1)
+    n = grid_size + 1
+    # bisect for the last split lo whose nu2 alone fails the primary by 1e-12
+    cut = 1.0 - cfg.lambda_p + 1e-12
+    lo, hi = 0, n if cut < 1.0 else 1     # only rounding puts nu2 past a cut >= 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _nu_small_k(cfg, snr_threshold(cfg.R / (mid / n)) / cfg.gamma_p) > cut:
+            lo = mid
+        else:
+            hi = mid
+    for i in range(lo + 1, n):
+        zeta = i / n
         thr_f = snr_threshold(cfg.R / (1.0 - zeta))
         if total > _success_prob(thr_f, cfg.gamma_s):
             break

@@ -174,7 +174,10 @@ def estimate_schedule_throughput(cfg: SystemConfig, omega, trials: int,
     else raises ValueError.
     """
     trials, seed, workers = _check_run(trials, seed, workers)
-    omega = tuple(_as_real("omega", w) for w in omega)
+    try:
+        omega = tuple(_as_real("omega", w) for w in omega)
+    except TypeError:
+        raise ValueError(f"omega must be a sequence of reals, got {omega!r}") from None
     if (len(omega) != cfg.M or not all(0.0 <= w < inf for w in omega)
             or abs(fsum(omega) - 1.0) > 1e-9):
         raise ValueError("omega must be M finite nonnegative probabilities summing to 1")

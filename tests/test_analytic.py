@@ -131,7 +131,7 @@ def test_expected_poisson_tail_quadrature_oracle(monkeypatch):
         cfg = replace(cfg, gamma_p=snr_threshold(cfg.forward_rate()) / c)
         pmf = [0.0] * cfg.M
         pmf[n + 1] = 1.0
-        monkeypatch.setattr(analytic, "_decoding_pmf", lambda _cfg: pmf)
+        monkeypatch.setattr(analytic, "_binomial_pmf", lambda _m, _q: pmf)
         got = case2_outage(cfg).nu1
         assert math.isclose(got, ref, rel_tol=1e-8), (n, c, gs, got, ref)
 

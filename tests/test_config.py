@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cogrelay import Case, SystemConfig, outage_highsnr, outage_probability, snr_threshold
+from cogrelay import (Case, SystemConfig, analytic_dmt, estimate_outage,
+                      estimate_schedule_throughput, max_lambda_k, outage_highsnr,
+                      outage_probability, search_zeta, snr_threshold, solve_assignment)
 
 
 def test_defaults():
@@ -137,6 +139,28 @@ def test_non_finite_and_non_integral_rejected(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         SystemConfig(**base)
+
+
+_NODIRECT = SystemConfig(M=3, gamma_p=50.0, gamma_s=30.0, R=0.5, case="nodirect")
+
+
+@pytest.mark.parametrize("bad", [True, False])
+@pytest.mark.parametrize("name, call", [
+    ("M", lambda b: SystemConfig(M=b, gamma_p=50.0, gamma_s=30.0, R=0.5)),
+    ("k", lambda b: max_lambda_k(_NODIRECT, b)),
+    ("k", lambda b: solve_assignment(_NODIRECT, b)),
+    ("k", lambda b: search_zeta(_NODIRECT, b)),
+    ("grid_size", lambda b: search_zeta(_NODIRECT, 0, grid_size=b)),
+    ("trials", lambda b: estimate_outage(_NODIRECT, b)),
+    ("seed", lambda b: estimate_outage(_NODIRECT, 10, seed=b)),
+    ("workers", lambda b: estimate_outage(_NODIRECT, 10, workers=b)),
+    ("trials", lambda b: estimate_schedule_throughput(_NODIRECT, (0.2, 0.3, 0.5), b)),
+    ("num_points", lambda b: analytic_dmt(_NODIRECT, num_points=b)),
+])
+def test_integer_arguments_reject_bools(name, call, bad):
+    # a bool is no count or index, although operator.index(True) is 1
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call(bad)
 
 
 def test_numpy_integer_m_accepted():

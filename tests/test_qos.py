@@ -12,6 +12,7 @@ from cogrelay import (InvalidCase, PrimaryInfeasible, SecondaryInfeasible,
                       outage_probability, search_zeta, secondary_success_prob,
                       solve_assignment)
 from cogrelay.analytic import _nu_small_k
+from cogrelay.config import snr_threshold
 from oracles import decoding_q, search_zeta_exhaustive
 
 # the figure presets: users 2..M demand these rates, user 1 is the tagged one
@@ -212,8 +213,28 @@ def _zeta_scenarios(draw):
             draw(st.integers(0, M - 1)), grid_size)
 
 
+def _at_nu2_edge(shift, grid_size=49, i=20):
+    """lambda_p = 1 - nu2 at split i of the grid, shifted; nu2 there is about 1/2."""
+    cfg = SystemConfig(M=4, gamma_p=2.0, gamma_s=30.0, R=0.5, case="nodirect",
+                       lambda_s=(0.0, 0.1, 0.1, 0.1))
+    nu2 = _nu_small_k(cfg, snr_threshold(cfg.R / (i / (grid_size + 1))) / cfg.gamma_p)
+    return replace(cfg, lambda_p=1.0 - nu2 + shift), 0, grid_size
+
+
 @settings(max_examples=150, deadline=None)
 @given(_zeta_scenarios())
+# lambda_p on the nu2 prune's edge at one split: exactly, and across it by
+# less and by more than the bisection's 1e-12 margin
+@example(_at_nu2_edge(0.0))
+@example(_at_nu2_edge(1e-16))
+@example(_at_nu2_edge(-1e-16))
+@example(_at_nu2_edge(1e-13))
+@example(_at_nu2_edge(-1e-13))
+# the smallest grids, and lambda_p = 0, which no split fails on nu2
+@example(_at_nu2_edge(0.0, grid_size=1, i=1))
+@example(_at_nu2_edge(0.0, grid_size=2, i=1))
+@example(_at_nu2_edge(0.0, grid_size=2, i=2))
+@example((replace(_at_nu2_edge(0.0)[0], lambda_p=0.0), 0, 999))
 # nu2 rounds to 1 + 2^-52 at the first split, where lambda_p = 0 is still met
 @example((SystemConfig(M=4, gamma_p=1.0, gamma_s=30.0, R=0.25326530612244896,
                        case="nodirect"), 0, 19))
@@ -240,6 +261,19 @@ def test_search_zeta_fig2_rows_make_few_outage_calls(monkeypatch):
             search_zeta(_preset(M, float(R), case="nodirect"), 0)
     # the exhaustive scan made 93 * 999 = 92,907 of them
     assert len(calls) < 1000
+
+
+def test_search_zeta_bisects_past_the_nu2_prune(monkeypatch):
+    # the 93 fig2 searches rule most low splits out on nu2 alone; testing
+    # them one at a time took 11,116 nu2 evaluations
+    calls = []
+    real = cogrelay.qos._nu_small_k
+    monkeypatch.setattr(cogrelay.qos, "_nu_small_k",
+                        lambda cfg, q: calls.append(q) or real(cfg, q))
+    for M in (4, 5, 6):
+        for R in np.linspace(0.0, 1.5, 31):
+            search_zeta(_preset(M, float(R), case="nodirect"), 0)
+    assert len(calls) < 1600
 
 
 def test_search_zeta_scan_matches_public_functions(monkeypatch):
@@ -290,15 +324,15 @@ def test_search_zeta_builds_at_most_one_config(monkeypatch):
     # infeasible one none, and neither builds a pmf from a config
     built, pmfs = [], []
     post_init = SystemConfig.__post_init__
-    real_pmf = cogrelay.analytic._decoding_pmf
+    real_pmf = cogrelay.analytic._binomial_pmf
 
     def counted_post_init(self):
         built.append(self.zeta)
         post_init(self)
 
     monkeypatch.setattr(SystemConfig, "__post_init__", counted_post_init)
-    monkeypatch.setattr(cogrelay.analytic, "_decoding_pmf",
-                        lambda cfg: pmfs.append(cfg) or real_pmf(cfg))
+    monkeypatch.setattr(cogrelay.analytic, "_binomial_pmf",
+                        lambda m, q: pmfs.append(q) or real_pmf(m, q))
     for M in (4, 5, 6):
         for R in np.linspace(0.0, 1.5, 31):
             cfg = _preset(M, float(R), case="nodirect")

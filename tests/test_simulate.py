@@ -325,6 +325,10 @@ def test_schedule_throughput_validation_and_determinism():
                   (True, 0.0, 0.0)):
         with pytest.raises(ValueError, match="omega"):
             estimate_schedule_throughput(cfg, omega, 100, seed=0)
+    # omega itself is a sequence: a bare number is a ValueError, not a TypeError
+    for omega in (5, 1.0, None):
+        with pytest.raises(ValueError, match="omega must be a sequence"):
+            estimate_schedule_throughput(cfg, omega, 10)
     a = estimate_schedule_throughput(cfg, (0.2, 0.3, 0.5), 40_000, seed=3, workers=1)
     b = estimate_schedule_throughput(cfg, (0.2, 0.3, 0.5), 40_000, seed=3, workers=2)
     assert np.array_equal(a.mu_hat, b.mu_hat)
