@@ -9,8 +9,8 @@ Two topologies:
 * no direct link: the slot splits zeta/(1-zeta); with K < 2 the primary
   packet is lost outright, with K >= 2 only the beamformed branch counts.
 
-Everything is expressed through thresholds Q = (2^rate - 1)/gamma, the
-per-relay decoding probability L = exp(-Q_broadcast), and the interference
+Everything is expressed through thresholds Q = `SystemConfig.thresholds()`/gamma_p,
+the per-relay decoding probability L = exp(-Q_broadcast), and the interference
 variable phi = gamma_s * |h_v_pd|^2 ~ Exponential(mean gamma_s).
 
 Both phi-averaged outages are exact finite sums of positive terms, with no
@@ -29,8 +29,8 @@ directions (`_case1_h`), not from `scipy.special.hyp2f1`, which on scipy
 The Gamma(n, 1) beamforming gain enters both through Poisson terms: the pmf
 and the tails P(n, x) = Pr{Poisson(x) >= n}, the regularized incomplete
 gamma at integer order.  One routine, `_poisson`, gives both closed forms all
-of them from finite sums of positive terms, with no scipy.  Both take the
-decoding-set pmf as the float list `channel._binomial_pmf`, as `search_zeta` does.
+of them from finite sums of positive terms, with no scipy.  One kernel, `_nu1`,
+feeds either the float pmf `channel._binomial_pmf`, for `search_zeta` too.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from sys import float_info
 import numpy as np
 
 from .channel import _binomial_pmf, _small_k_mass
-from .config import Case, SystemConfig, snr_threshold
+from .config import Case, SystemConfig
 
 _log = logging.getLogger(__name__)
 
@@ -181,10 +181,6 @@ def _interference_map(cg: float) -> tuple[float, float]:
 # --- case 1: direct link + MRC ------------------------------------------
 
 
-def _threshold_q(cfg: SystemConfig) -> float:
-    return snr_threshold(cfg.forward_rate()) / cfg.gamma_p
-
-
 def _nu_small_k(cfg: SystemConfig, q: float) -> float:
     """nu2: Pr{K < 2} at per-relay threshold q, times (case 1 only) Pr{direct link fails}.
 
@@ -309,19 +305,19 @@ def case2_outage(cfg: SystemConfig) -> OutageBreakdown:
 # --- both topologies -----------------------------------------------------
 
 
-def outage_probability(cfg: SystemConfig) -> OutageBreakdown:
-    """nu1 from `_case1_nu1` or `_case2_nu1` by topology, nu2 from `_nu_small_k`.
-
-    Each threshold is formed once: the broadcast q feeds the pmf and nu2, and
-    with a direct link, where every hop runs at 2R, nu1 too.
-    """
-    q = snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p
+def _nu1(cfg: SystemConfig, q: float, q_f: float) -> float:
+    """nu1 by topology at broadcast and forward thresholds q and q_f (over gamma_p)."""
     pmf = _binomial_pmf(cfg.M - 1, q)
     if cfg.case is Case.DIRECT_LINK:
-        nu1 = _case1_nu1(q, cfg.gamma_s, pmf)
-    else:
-        nu1 = _case2_nu1(_threshold_q(cfg), cfg.gamma_s, pmf)
-    return _breakdown(nu1, _nu_small_k(cfg, q))
+        return _case1_nu1(q_f, cfg.gamma_s, pmf)
+    return _case2_nu1(q_f, cfg.gamma_s, pmf)
+
+
+def outage_probability(cfg: SystemConfig) -> OutageBreakdown:
+    """nu1 from `_nu1`, nu2 from `_nu_small_k`, at the config's two thresholds."""
+    thr_b, thr_f = cfg.thresholds()
+    q = thr_b / cfg.gamma_p
+    return _breakdown(_nu1(cfg, q, thr_f / cfg.gamma_p), _nu_small_k(cfg, q))
 
 
 def outage_highsnr(cfg: SystemConfig) -> float:
@@ -337,8 +333,7 @@ def outage_highsnr(cfg: SystemConfig) -> float:
     prints as its nu_highsnr.
     """
     d = 1 if cfg.case is Case.DIRECT_LINK else 0
-    q_b = snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p
-    q_f = _threshold_q(cfg)
+    q_b, q_f = (thr / cfg.gamma_p for thr in cfg.thresholds())
     m = cfg.M - 1
     log_s = _log_moments(m - 1, cfg.gamma_s)
     return sum(

@@ -44,10 +44,13 @@ def optimal_weights(h_pd: np.ndarray, h_sd: np.ndarray) -> BeamformerResult:
     """g* = Psi h_pd / ||Psi h_pd|| and the achieved gain/leakage.
 
     alpha is computed as ||Psi h_pd||^2 (identical to |g*' h_pd|^2
-    analytically, but free of one cancellation-prone inner product).
+    analytically, but free of one cancellation-prone inner product).  A NaN
+    or infinite channel entry raises ValueError.
     """
     h_pd = np.asarray(h_pd, dtype=complex)
     h_sd = np.asarray(h_sd, dtype=complex)
+    if not (np.isfinite(h_pd).all() and np.isfinite(h_sd).all()):
+        raise ValueError("channel entries must be finite")
     proj = _project_out(h_sd, h_pd)
     alpha = float(np.real(np.vdot(proj, proj)))
     if alpha < _DEGENERACY_FLOOR:

@@ -22,16 +22,26 @@ from math import comb, exp, expm1
 
 import numpy as np
 
-from .config import Case, SystemConfig, snr_threshold
+from .config import Case, SystemConfig, _as_index
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Independent, reproducible generator for the index-th block of a run.
 
     Uses Philox counter jumps so that stream `index` is identical no matter
-    which worker draws it or how many blocks were drawn before it.
+    which worker draws it or how many blocks were drawn before it.  seed and
+    index are integers in [0, 2^128); anything else raises ValueError.
     """
-    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    return np.random.Generator(np.random.Philox(key=_as_seed("seed", seed))
+                               .jumped(_as_seed("index", index)))
+
+
+def _as_seed(name: str, x) -> int:
+    """x as an int in [0, 2^128), Philox's key and counter range, else ValueError."""
+    x = _as_index(name, x)
+    if not 0 <= x < 2**128:
+        raise ValueError(f"{name} must lie in [0, 2**128), got {x}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -54,8 +64,12 @@ def draw_realizations(cfg: SystemConfig, n: int, rng: np.random.Generator) -> Ch
 
     Two draws per block, in this order: an (n, M+2) Exp(1) array of the
     power gains [p->pd, p->relay_0..relay_{M-2}, v->pd, v->sd], then
-    (n, 2(M-1)) complex normals, [relay->pd | relay->sd].
+    (n, 2(M-1)) complex normals, [relay->pd | relay->sd].  n is an integer
+    >= 0; anything else raises ValueError.
     """
+    n = _as_index("n", n)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     return next(_draw_chunks(cfg, n, rng, max(n, 1)))
 
 
@@ -93,8 +107,7 @@ def decode_mask(cfg: SystemConfig, block: ChannelBlock) -> np.ndarray:
     Relay k decodes iff gamma_p |h_p_relay[k]|^2 >= 2^rate - 1 (success at
     equality); the block holds that power gain directly.
     """
-    thr = snr_threshold(cfg.broadcast_rate())
-    return cfg.gamma_p * block.h_p_relay >= thr
+    return cfg.gamma_p * block.h_p_relay >= cfg.thresholds()[0]
 
 
 def _binomial_pmf(m: int, q: float) -> list:
@@ -110,5 +123,5 @@ def _small_k_mass(m: int, q: float) -> float:
 
 
 def decoding_set_pmf(cfg: SystemConfig) -> np.ndarray:
-    """Numpy view of `_binomial_pmf`: Binomial(M-1, e^-q), q = (2^broadcast_rate - 1)/gamma_p."""
-    return np.array(_binomial_pmf(cfg.M - 1, snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p))
+    """Numpy view of `_binomial_pmf`: Binomial(M-1, e^-q), q = broadcast threshold/gamma_p."""
+    return np.array(_binomial_pmf(cfg.M - 1, cfg.thresholds()[0] / cfg.gamma_p))

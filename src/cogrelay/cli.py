@@ -14,7 +14,7 @@ the fixed-preset `fig1`, `fig2` and `validate`, only those they read), the
 seed and trial count (but not workers or output path), so a byte-identical
 file certifies a reproduced run.  `qos-sweep`, `fig1` and both `fig2` modes
 write the same QoS columns, one `QosSolution` per operating point, feasible
-or not, from one call of the QoS solver (`qos._row`, or `search_zeta`).
+or not, from one call of the QoS solver (`qos._solve(...)[0]`, or `search_zeta`).
 
 Exit codes: 0 success, 1 validation failure (some |z| > 4), 2 bad config,
 3 library error (a numerical or model failure such as an unfittable DMT
@@ -35,7 +35,7 @@ from .analytic import InvalidCase, outage_highsnr, outage_probability
 from .beamform import DegenerateChannel
 from .config import Case, SystemConfig
 from .dmt import DegenerateFit, DiversitySource, analytic_dmt, empirical_diversity
-from .qos import QosSolution, _row, search_zeta
+from .qos import QosSolution, _solve, search_zeta
 from .simulate import estimate_outage
 
 
@@ -212,7 +212,7 @@ def _run_dmt(spec: ExperimentSpec, values: dict, lines: list) -> int:
 def _run_qos_sweep(spec: ExperimentSpec, values: dict, lines: list) -> int:
     lines.append("R," + _QOS_HEADER)
     for R in _rates(values):
-        sol = _row(replace(spec.cfg, R=R), values["k"] - 1)
+        sol = _solve(replace(spec.cfg, R=R), values["k"] - 1)[0]
         lines.append(f"{_fmt(R)},{_qos_cols(sol)}")
     return 0
 
@@ -221,7 +221,7 @@ def _run_fig1(spec: ExperimentSpec, values: dict, lines: list) -> int:
     lines.append("M,R," + _QOS_HEADER)
     for M in (4, 5, 6):
         for R in _rates(values):
-            sol = _row(_fig_cfg(M, R, Case.DIRECT_LINK), 0)
+            sol = _solve(_fig_cfg(M, R, Case.DIRECT_LINK), 0)[0]
             lines.append(f"{M},{_fmt(R)},{_qos_cols(sol)}")
     return 0
 
@@ -233,7 +233,7 @@ def _run_fig2(spec: ExperimentSpec, values: dict, lines: list) -> int:
             sol = search_zeta(_fig_cfg(M, R, Case.NO_DIRECT_LINK), 0)
             lines.append(f"{M},{_fmt(R)},best,{_qos_cols(sol)}")
     for R in _rates(values):   # fixed even split shown for the largest network
-        sol = _row(_fig_cfg(6, R, Case.NO_DIRECT_LINK), 0)
+        sol = _solve(_fig_cfg(6, R, Case.NO_DIRECT_LINK), 0)[0]
         lines.append(f"6,{_fmt(R)},half,{_qos_cols(sol)}")
     return 0
 

@@ -64,25 +64,11 @@ class SystemConfig:
         if any(not 0.0 <= lam <= 1.0 for lam in self.lambda_s):
             raise ValueError("secondary throughput targets must lie in [0, 1]")
 
-    # --- effective per-phase rates -------------------------------------
-    # With a direct link both phases occupy half the slot; without one the
-    # broadcast phase takes zeta of the slot and forwarding the rest.
-
-    def broadcast_rate(self) -> float:
-        """Rate the primary packet must survive at during the broadcast phase."""
-        if self.case is Case.DIRECT_LINK:
-            return 2.0 * self.R
-        return self.R / self.zeta
-
-    def forward_rate(self) -> float:
-        """Rate of the relayed transmission toward the primary destination."""
-        if self.case is Case.DIRECT_LINK:
-            return 2.0 * self.R
-        return self.R / (1.0 - self.zeta)
-
-    def secondary_rate(self) -> float:
-        """Rate of the secondary source's own transmission (same phase as forwarding)."""
-        return self.forward_rate()
+    def thresholds(self) -> tuple[float, float]:
+        """(broadcast, forward) SNR thresholds 2^rate - 1; the forward phase carries
+        the relayed packet and the secondary's own.  A direct link halves the slot."""
+        zeta = 0.5 if self.case is Case.DIRECT_LINK else self.zeta
+        return _split_threshold(self.R, zeta), _split_threshold(self.R, zeta, True)
 
 
 def _as_index(name: str, x) -> int:
@@ -113,3 +99,9 @@ def snr_threshold(rate: float) -> float:
         return math.expm1(rate * math.log(2.0))
     except OverflowError:
         return math.inf
+
+
+def _split_threshold(R: float, zeta: float, forward: bool = False) -> float:
+    """Broadcast 2^(R/zeta) - 1 or forward 2^(R/(1-zeta)) - 1 of a zeta : 1 - zeta slot;
+    zeta = 1/2 gives 2^(2R) - 1 bit for bit, division by 1/2 being exact."""
+    return snr_threshold(R / (1.0 - zeta if forward else zeta))

@@ -100,4 +100,4 @@ def empirical_diversity(cfg: SystemConfig, r: float, gamma_grid,
 
     top = slice(grid.size // 2, None)
     slope = np.polyfit(np.log(grid[top]), np.log(nus)[top], 1)[0]
-    return float(-slope)
+    return 0.0 - float(slope)     # +0.0, not -0.0, for a flat outage

@@ -24,8 +24,8 @@ from math import fsum, inf, sqrt
 import numpy as np
 
 from .beamform import effective_gain
-from .channel import ChannelBlock, _draw_chunks, decode_mask, substream
-from .config import Case, SystemConfig, _as_index, _as_real, snr_threshold
+from .channel import ChannelBlock, _as_seed, _draw_chunks, decode_mask, substream
+from .config import Case, SystemConfig, _as_index, _as_real
 
 BLOCK_SLOTS = 16384
 _CHUNK_LINKS = 2**15       # relay links per chunk of a block
@@ -64,14 +64,14 @@ def _slot_events(cfg: SystemConfig, block: ChannelBlock):
     alpha = np.where(k >= 2, effective_gain(block.h_relay_pd, block.h_relay_sd, mask), 0.0)
     phi = cfg.gamma_s * block.h_v_pd
     relayed = cfg.gamma_p * alpha / (1.0 + phi)
-    thr = snr_threshold(cfg.forward_rate())
+    thr = cfg.thresholds()[1]     # the relayed packet and the secondary's own share a phase
     if cfg.case is Case.DIRECT_LINK:
         # MRC: direct-branch SNR adds to the beamformed-branch SINR
         primary_ok = relayed + cfg.gamma_p * block.h_p_pd >= thr
     else:
         # nothing reaches pd unless at least two relays cooperated
         primary_ok = (k >= 2) & (relayed >= thr)
-    secondary_ok = cfg.gamma_s * block.h_v_sd >= snr_threshold(cfg.secondary_rate())
+    secondary_ok = cfg.gamma_s * block.h_v_sd >= thr
     return primary_ok, secondary_ok, k
 
 
@@ -131,15 +131,12 @@ def _fold(cfg: SystemConfig, task, trials: int, workers: int) -> tuple:
 
 def _check_run(trials, seed, workers) -> tuple:
     """(trials, seed, workers) as ints; ValueError unless each lies in its range."""
-    trials, seed, workers = (_as_index(name, x) for name, x in
-                             (("trials", trials), ("seed", seed), ("workers", workers)))
+    trials, workers = _as_index("trials", trials), _as_index("workers", workers)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 0 <= seed < 2**128:
-        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return trials, seed, workers
+    return trials, _as_seed("seed", seed), workers
 
 
 def _estimate(count: int, trials: int) -> OutageEstimate:

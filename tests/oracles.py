@@ -22,7 +22,7 @@ import numpy as np
 from scipy import integrate, special
 
 from cogrelay.analytic import (InvalidCase, OutageBreakdown, QuadratureFailure,
-                               _breakdown, _nu_small_k, _threshold_q)
+                               _breakdown, _nu_small_k)
 from cogrelay.beamform import _DEGENERACY_FLOOR, DegenerateChannel
 from cogrelay.channel import decoding_set_pmf, draw_realizations, substream
 from cogrelay.config import Case, SystemConfig, snr_threshold
@@ -126,14 +126,27 @@ def _case1_bracket(K: int, Q: float, phi: float) -> float:
 
 
 def _case1_nu1_given_phi(cfg: SystemConfig, phi: float) -> float:
-    Q = _threshold_q(cfg)
+    Q = phase_q(cfg)[1]
     pmf = decoding_set_pmf(cfg)
     return sum(pmf[K] * _case1_bracket(K, Q, phi) for K in range(2, cfg.M))
 
 
+def phase_rates(cfg: SystemConfig) -> tuple:
+    """(broadcast, forward) rates of the paper's slot: 2R on both hops with a
+    direct link; R/zeta and R/(1-zeta) without one."""
+    if cfg.case is Case.DIRECT_LINK:
+        return 2.0 * cfg.R, 2.0 * cfg.R
+    return cfg.R / cfg.zeta, cfg.R / (1.0 - cfg.zeta)
+
+
+def phase_q(cfg: SystemConfig) -> tuple:
+    """(broadcast, forward) thresholds (2^rate - 1)/gamma_p of `phase_rates`."""
+    return tuple(snr_threshold(rate) / cfg.gamma_p for rate in phase_rates(cfg))
+
+
 def decoding_q(cfg: SystemConfig) -> float:
     """Per-relay decoding threshold (2^broadcast_rate - 1)/gamma_p, as `_nu_small_k` takes it."""
-    return snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p
+    return phase_q(cfg)[0]
 
 
 def case1_outage_given_phi(cfg: SystemConfig, phi: float) -> OutageBreakdown:
@@ -147,7 +160,7 @@ def case2_outage_given_phi(cfg: SystemConfig, phi: float) -> OutageBreakdown:
     """Outage probabilities without a direct link, conditioned on phi."""
     if cfg.case is not Case.NO_DIRECT_LINK:
         raise InvalidCase("case2_outage_given_phi needs cfg.case = NO_DIRECT_LINK")
-    x_zeta = snr_threshold(cfg.forward_rate()) * (1.0 + phi) / cfg.gamma_p
+    x_zeta = snr_threshold(phase_rates(cfg)[1]) * (1.0 + phi) / cfg.gamma_p
     pmf = decoding_set_pmf(cfg)
     nu1 = sum(pmf[K] * special.gammainc(K - 1, x_zeta) for K in range(2, cfg.M))
     return _breakdown(nu1, _nu_small_k(cfg, decoding_q(cfg)))
@@ -252,14 +265,13 @@ def outage_highsnr_direct(cfg: SystemConfig) -> float:
     float range, from about M = 60 at gamma_s = 1e4.
     """
     if cfg.case is Case.DIRECT_LINK:
-        Q = _threshold_q(cfg)
+        Q = phase_q(cfg)[1]
         bracket = sum(
             comb(cfg.M - 1, K) * moment_one_plus_phi(K - 1, cfg.gamma_s) / factorial(K)
             for K in range(2, cfg.M)
         )
         return (bracket + (cfg.M - 1)) * Q ** (cfg.M - 1)
-    q_b = snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p
-    q_f = snr_threshold(cfg.forward_rate()) / cfg.gamma_p
+    q_b, q_f = phase_q(cfg)
     total = (cfg.M - 1) * q_b ** (cfg.M - 2)
     for K in range(2, cfg.M):
         total += (

@@ -128,7 +128,7 @@ def test_expected_poisson_tail_quadrature_oracle(monkeypatch):
             lambda t: special.gammainc(n, c * (1.0 + gs * t)) * math.exp(-t),
             0.0, 60.0, epsabs=0.0, epsrel=1e-11, limit=200)
         cfg = _cfg(M=n + 3, gamma_s=gs, case="nodirect")
-        cfg = replace(cfg, gamma_p=snr_threshold(cfg.forward_rate()) / c)
+        cfg = replace(cfg, gamma_p=snr_threshold(oracles.phase_rates(cfg)[1]) / c)
         pmf = [0.0] * cfg.M
         pmf[n + 1] = 1.0
         monkeypatch.setattr(analytic, "_binomial_pmf", lambda _m, _q: pmf)
@@ -178,11 +178,12 @@ def _conditional_mc_case1(cfg, phi, n, seed):
     h_relay_pd = _draw(rng, (n, m))
     h_relay_sd = _draw(rng, (n, m))
     h_p_pd = _draw(rng, n)
-    mask = cfg.gamma_p * np.abs(h_p_relay) ** 2 >= snr_threshold(cfg.broadcast_rate())
+    thr_b, thr_f = (snr_threshold(rate) for rate in oracles.phase_rates(cfg))
+    mask = cfg.gamma_p * np.abs(h_p_relay) ** 2 >= thr_b
     k = mask.sum(axis=1)
     alpha = np.where(k >= 2, effective_gain(h_relay_pd, h_relay_sd, mask), 0.0)
     combined = cfg.gamma_p * alpha / (1.0 + phi) + cfg.gamma_p * np.abs(h_p_pd) ** 2
-    p = float(np.mean(combined < snr_threshold(cfg.forward_rate())))
+    p = float(np.mean(combined < thr_f))
     return p
 
 
@@ -192,10 +193,11 @@ def _conditional_mc_case2(cfg, phi, n, seed):
     h_p_relay = _draw(rng, (n, m))
     h_relay_pd = _draw(rng, (n, m))
     h_relay_sd = _draw(rng, (n, m))
-    mask = cfg.gamma_p * np.abs(h_p_relay) ** 2 >= snr_threshold(cfg.broadcast_rate())
+    thr_b, thr_f = (snr_threshold(rate) for rate in oracles.phase_rates(cfg))
+    mask = cfg.gamma_p * np.abs(h_p_relay) ** 2 >= thr_b
     k = mask.sum(axis=1)
     alpha = np.where(k >= 2, effective_gain(h_relay_pd, h_relay_sd, mask), 0.0)
-    fail = (k < 2) | (cfg.gamma_p * alpha / (1.0 + phi) < snr_threshold(cfg.forward_rate()))
+    fail = (k < 2) | (cfg.gamma_p * alpha / (1.0 + phi) < thr_f)
     return float(np.mean(fail))
 
 

@@ -70,6 +70,16 @@ def test_no_zero_leakage_direction_beats_alpha():
         assert gains.max() <= res.alpha * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("h_pd, h_sd", [
+    ([math.nan, 1.0], [1.0, 0.0]),
+    ([1.0, 1.0], [complex(0.0, math.inf), 1.0]),
+    ([-math.inf, 1.0], [1.0, 0.0]),
+])
+def test_optimal_weights_rejects_non_finite(h_pd, h_sd):
+    with pytest.raises(ValueError, match="finite"):
+        optimal_weights(h_pd, h_sd)
+
+
 def test_degenerate_channels_raise():
     with pytest.raises(DegenerateChannel):
         optimal_weights(np.array([1.0 + 0j, 2.0]), np.zeros(2, dtype=complex))

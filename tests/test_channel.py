@@ -36,6 +36,31 @@ def test_substream_reproducible_and_distinct():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+    top = 2**128 - 1
+    assert np.array_equal(substream(np.uint64(42), np.int64(1)).standard_normal(8), c)
+    assert substream(top, top).random() == substream(top, top).random()
+
+
+@pytest.mark.parametrize("seed, index, name", [
+    (1.5, 0, "seed"), (True, 0, "seed"), (-1, 0, "seed"), (2**128, 0, "seed"),
+    (math.nan, 0, "seed"), ("1", 0, "seed"),
+    (0, 1.7, "index"), (0, -1, "index"), (0, 2**128, "index"),
+])
+def test_substream_rejects_bad_seed_or_index(seed, index, name):
+    # 1.5 and True used to draw seed 1's stream, index -1 that of 2**128 - 1
+    with pytest.raises(ValueError, match=name):
+        substream(seed, index)
+
+
+@pytest.mark.parametrize("n", [2.5, -1, math.nan, "3", None])
+def test_draw_realizations_rejects_bad_n(n):
+    with pytest.raises(ValueError, match="n must"):
+        draw_realizations(_cfg(), n, substream(0, 0))
+
+
+def test_draw_realizations_of_no_slots():
+    block = draw_realizations(_cfg(M=5), 0, substream(0, 0))
+    assert len(block) == 0 and block.h_p_relay.shape == (0, 4)
 
 
 def test_block_shapes_and_dtype():
@@ -111,10 +136,11 @@ def test_block_is_the_two_raw_draws():
 
 def test_form_decoding_set_matches_rule():
     # relay k decodes iff gamma_p |h_p_relay[k]|^2 >= 2^rate - 1
+    # the broadcast rate is 2R with a direct link, R/zeta = 2R at zeta = 1/2 without
     for case, M, R in (("direct", 6, 0.8), ("nodirect", 5, 1.0)):
         cfg = _cfg(case, M=M, R=R)
         block = draw_realizations(cfg, 64, substream(8, 0))
-        thr = 2.0 ** cfg.broadcast_rate() - 1.0
+        thr = 2.0 ** (2.0 * R) - 1.0
         e, _ = _raw(cfg, 64, substream(8, 0))
         mask = decode_mask(cfg, block)
         assert mask.shape == (64, M - 1)
@@ -128,7 +154,7 @@ def test_decode_mask_agrees_with_decoding_set():
     # the decoding set of slot i, formed from that slot's raw power gains
     # alone, is row i of the block's mask; a one-slot block gives its one row
     cfg = _cfg(M=5, R=1.0)
-    thr = 2.0 ** cfg.broadcast_rate() - 1.0
+    thr = 2.0 ** 2.0 - 1.0       # broadcast at 2R
     block = draw_realizations(cfg, 64, substream(8, 0))
     mask = decode_mask(cfg, block)
     e, _ = _raw(cfg, 64, substream(8, 0))
@@ -144,7 +170,7 @@ def test_decode_mask_agrees_with_decoding_set():
 def test_pmf_is_binomial():
     cfg = _cfg(M=6, R=0.5)
     pmf = decoding_set_pmf(cfg)
-    L = math.exp(-snr_threshold(cfg.broadcast_rate()) / cfg.gamma_p)
+    L = math.exp(-snr_threshold(2.0 * cfg.R) / cfg.gamma_p)
     ref = stats.binom.pmf(np.arange(6), 5, L)
     assert pmf.shape == (6,)
     assert np.allclose(pmf, ref, rtol=1e-12)

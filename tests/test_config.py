@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cogrelay import (Case, SystemConfig, analytic_dmt, estimate_outage,
+from cogrelay import (Case, SystemConfig, analytic_dmt, draw_realizations, estimate_outage,
                       estimate_schedule_throughput, max_lambda_k, outage_highsnr,
-                      outage_probability, search_zeta, snr_threshold, solve_assignment)
+                      outage_probability, search_zeta, snr_threshold, solve_assignment,
+                      substream)
 
 
 def test_defaults():
@@ -94,18 +95,17 @@ def test_largest_m_is_total(case):
 
 def test_rates_direct_link():
     cfg = SystemConfig(M=4, gamma_p=50.0, gamma_s=30.0, R=0.75)
-    # both phases carry the packet, so each must run at twice the base rate
-    assert cfg.broadcast_rate() == 1.5
-    assert cfg.forward_rate() == 1.5
-    assert cfg.secondary_rate() == 1.5
+    # both phases carry the packet in half the slot, so each must run at
+    # twice the base rate, 2R = 1.5
+    assert cfg.thresholds() == (snr_threshold(1.5), snr_threshold(1.5))
 
 
 def test_rates_split_slot():
+    # the broadcast runs at R/zeta, the forward phase (relayed packet and the
+    # secondary's own) at R/(1-zeta)
     cfg = SystemConfig(M=4, gamma_p=50.0, gamma_s=30.0, R=0.6,
                        case=Case.NO_DIRECT_LINK, zeta=0.4)
-    assert math.isclose(cfg.broadcast_rate(), 0.6 / 0.4)
-    assert math.isclose(cfg.forward_rate(), 0.6 / 0.6)
-    assert cfg.secondary_rate() == cfg.forward_rate()
+    assert cfg.thresholds() == (snr_threshold(0.6 / 0.4), snr_threshold(0.6 / (1.0 - 0.4)))
 
 
 def test_snr_threshold_values():
@@ -156,6 +156,8 @@ _NODIRECT = SystemConfig(M=3, gamma_p=50.0, gamma_s=30.0, R=0.5, case="nodirect"
     ("workers", lambda b: estimate_outage(_NODIRECT, 10, workers=b)),
     ("trials", lambda b: estimate_schedule_throughput(_NODIRECT, (0.2, 0.3, 0.5), b)),
     ("num_points", lambda b: analytic_dmt(_NODIRECT, num_points=b)),
+    ("index", lambda b: substream(0, b)),
+    ("n", lambda b: draw_realizations(_NODIRECT, b, substream(0, 0))),
 ])
 def test_integer_arguments_reject_bools(name, call, bad):
     # a bool is no count or index, although operator.index(True) is 1

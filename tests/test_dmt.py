@@ -55,6 +55,13 @@ def test_empirical_diversity_fixed_rate():
     assert abs(d2 - 2.0) < 0.3
 
 
+def test_empirical_diversity_of_flat_outage_is_positive_zero():
+    # nu = 1 at every SNR (no relaying at M = 2 without a direct link): the
+    # slope is 0 and its negation must not print as -0.0
+    d = empirical_diversity(_cfg("nodirect", M=2), 0.0, np.logspace(2, 4, 5))
+    assert d == 0.0 and math.copysign(1.0, d) == 1.0
+
+
 def test_empirical_diversity_scaling_rate():
     # r > 0: rate grows with SNR, so the slope drops below the r=0 order
     grid = np.logspace(3, 5, 5)

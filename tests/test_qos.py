@@ -1,4 +1,5 @@
 import math
+from math import fsum
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,8 @@ from cogrelay import (InvalidCase, PrimaryInfeasible, SecondaryInfeasible,
                       outage_probability, search_zeta, secondary_success_prob,
                       solve_assignment)
 from cogrelay.analytic import _nu_small_k
-from cogrelay.config import snr_threshold
+from cogrelay.config import _split_threshold, snr_threshold
+from cogrelay.qos import QosSolution, _solve
 from oracles import decoding_q, search_zeta_exhaustive
 
 # the figure presets: users 2..M demand these rates, user 1 is the tagged one
@@ -321,25 +323,26 @@ def test_search_zeta_scan_matches_public_functions(monkeypatch):
 
 def test_search_zeta_builds_at_most_one_config(monkeypatch):
     # a feasible search validates one config, the split it returns; an
-    # infeasible one none, and neither builds a pmf from a config
-    built, pmfs = [], []
+    # infeasible one none, and neither evaluates the outage of a config
+    built, outages = [], []
     post_init = SystemConfig.__post_init__
-    real_pmf = cogrelay.analytic._binomial_pmf
+    real_outage = cogrelay.analytic.outage_probability
 
     def counted_post_init(self):
         built.append(self.zeta)
         post_init(self)
 
     monkeypatch.setattr(SystemConfig, "__post_init__", counted_post_init)
-    monkeypatch.setattr(cogrelay.analytic, "_binomial_pmf",
-                        lambda m, q: pmfs.append(q) or real_pmf(m, q))
+    for mod in (cogrelay.analytic, cogrelay.qos):
+        monkeypatch.setattr(mod, "outage_probability",
+                            lambda cfg: outages.append(cfg) or real_outage(cfg))
     for M in (4, 5, 6):
         for R in np.linspace(0.0, 1.5, 31):
             cfg = _preset(M, float(R), case="nodirect")
             built.clear()
             sol = search_zeta(cfg, 0)
             assert built == ([sol.zeta] if sol.feasible else []), (M, R)
-    assert not pmfs
+    assert not outages
 
 
 def test_search_zeta_builds_pmf_only_for_nu1(monkeypatch):
@@ -354,10 +357,43 @@ def test_search_zeta_builds_pmf_only_for_nu1(monkeypatch):
             return fn(*args)
         return wrapped
 
-    qos = cogrelay.qos
-    monkeypatch.setattr(qos, "_binomial_pmf", counted("pmf", qos._binomial_pmf))
-    monkeypatch.setattr(qos, "_case2_nu1", counted("nu1", qos._case2_nu1))
+    analytic = cogrelay.analytic     # where `_nu1` looks both names up
+    monkeypatch.setattr(analytic, "_binomial_pmf", counted("pmf", analytic._binomial_pmf))
+    monkeypatch.setattr(analytic, "_case2_nu1", counted("nu1", analytic._case2_nu1))
     for M in (4, 5, 6):
         for R in np.linspace(0.0, 1.5, 31):
             search_zeta(_preset(M, float(R), case="nodirect"), 0)
     assert counts == {"pmf": 572, "nu1": 572}
+
+
+def test_split_threshold_is_thresholds_bit_for_bit():
+    # the search's split function at i/n is replace(cfg, zeta=i/n).thresholds()
+    for R in (0.0, 1e-300, 0.05, 0.6, 1.5, 7.0, 900.0):
+        cfg = _preset(4, R, case="nodirect")
+        for n in (2, 3, 4, 10, 50, 1000):
+            for i in range(1, n):
+                zeta = i / n
+                assert (_split_threshold(R, zeta), _split_threshold(R, zeta, True)) == \
+                    replace(cfg, zeta=zeta).thresholds(), (R, i, n)
+
+
+def test_infeasible_markers_are_the_cli_rows():
+    # the solution `_solve` returns at an infeasible point is the row the CLI
+    # prints: NaN omega and slack, zeta echoed, lambda_k_max as max_lambda_k
+    # reports it (0 when the primary fails)
+    nan = math.nan
+    primary = SystemConfig(M=3, gamma_p=2.0, gamma_s=30.0, R=2.0, lambda_p=0.9)
+    sol, err = _solve(primary, np.int64(1))
+    assert isinstance(err, PrimaryInfeasible)
+    assert repr(sol) == repr(QosSolution(feasible=False, omega=(nan, nan, nan), zeta=0.5,
+                                         lambda_k_max=0.0, slack=nan, k=1))
+    assert type(sol.k) is int
+    secondary = SystemConfig(M=3, gamma_p=50.0, gamma_s=30.0, R=0.6, case="nodirect",
+                             zeta=0.25, lambda_s=(0.3, 0.4, 0.5))
+    sol, err = _solve(secondary, 2)
+    f = secondary_success_prob(secondary)
+    assert isinstance(err, SecondaryInfeasible)
+    assert repr(sol) == repr(QosSolution(feasible=False, omega=(nan, nan, nan), zeta=0.25,
+                                         lambda_k_max=max(0.0, f - fsum((0.3, 0.4))),
+                                         slack=nan, k=2))
+    assert sol.lambda_k_max == max_lambda_k(secondary, 2)
