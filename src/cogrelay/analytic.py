@@ -21,10 +21,12 @@ with a direct link, gamma_p = gamma_s = 1e4 and R = 1/2 gives
 4.810677115e-315, good to about 9 digits.  Case 2 conditions on
 the beamforming gain instead of phi (`case2_outage`).  Case 1 conditions on
 the direct branch and the beamforming gain, which leaves Gauss hypergeometric
-values h_k = 2F1(1, k; n+2; a) with n + 1 - k >= 1.  They come from a
-three-term contiguous relation run outward from one seed in its contracting
-directions (`_case1_h`), not from `scipy.special.hyp2f1`, which on scipy
-1.17.1 returns inf or out-of-bound values for n >= 99 and a > 0.9.
+values h_k = 2F1(1, k; n+2; a) with n + 1 - k >= 1.  One seed per call
+gives the top row n = M-2 through a three-term contiguous relation run
+outward in its contracting directions (`_case1_h`); each lower row follows
+from the one above by a positive row descent (`_case1_row_down`).  Neither
+uses `scipy.special.hyp2f1`, which on scipy 1.17.1 returns inf or
+out-of-bound values for n >= 99 and a > 0.9.
 
 The Gamma(n, 1) beamforming gain enters both through Poisson terms: the pmf
 and the tails P(n, x) = Pr{Poisson(x) >= n}, the regularized incomplete
@@ -194,6 +196,9 @@ def _nu_small_k(cfg: SystemConfig, q: float) -> float:
 def _case1_h(n: int, a: float, b: float) -> list:
     """h with h[k] = 2F1(1, k; n+2; a) for k = 0..n, where 0 <= a <= 1, b = 1 - a.
 
+    `_case1_nu1` seeds only its top row n = M-2 here and takes every lower
+    row from `_case1_row_down`.
+
     Uses the contiguous relation (DLMF 15.5)
 
         (n+1-k) h_k + k b h_{k+1} = n+1,
@@ -227,6 +232,20 @@ def _case1_h(n: int, a: float, b: float) -> list:
     return h
 
 
+def _case1_row_down(h: list, a: float, n: int) -> list:
+    """Row n of h_k = 2F1(1, k; n+2; a), k = 0..n, from row n+1 (entries up to k = n+1).
+
+    The Euler integral 2F1(1, k; n+2; a) = (n+1) int_0^1 (1-t)^n (1-at)^-k dt
+    (DLMF 15.6.1), integrated by parts, gives
+
+        h_k(n) = 1 + k a h_{k+1}(n+1)/(n+2),
+
+    a sum of positive terms: a relative error in row n+1 does not grow in row n.
+    """
+    c = a / (n + 2)
+    return [1.0] + [1.0 + k * c * h[k + 1] for k in range(1, n + 1)]
+
+
 def _case1_nu1(Q: float, gamma_s: float, pmf) -> float:
     """nu1 = sum_{K>=2} pmf[K] I_{K-1}(Q), I_n(Q) = Pr{D + G_n/(1+phi) < Q}.
 
@@ -236,20 +255,24 @@ def _case1_nu1(Q: float, gamma_s: float, pmf) -> float:
         I_n(Q) = P(n+1, Q) + e^-Q sum_{k=1..n} F_{n,k}/(n-k)!,
         F_{n,k} = int_0^Q v^n (v+c)^-k dv = (Q+c)^{n+1-k} a^{n+1} h_k/(n+1),
 
-    with a = Q/(Q+c) and h_k from `_case1_h`.  Regrouped as
+    with a = Q/(Q+c) and h_k = 2F1(1, k; n+2; a).  Regrouped as
     I_n = P(n+1, Q) + Q/(n+1) sum_k pi_{n-k} a^k h_k, with pi_j = e^-Q Q^j/j!
     the Poisson pmf, pi_j, a^k and h_k all lie in [0, n+1]: nothing overflows
     and, every term being positive, the deep tail keeps full relative precision.
+    K runs downward: one seed gives the top row n = M-2 (`_case1_h`), and
+    each lower row comes from the one above by the positive row descent
+    `_case1_row_down`.  Once P(K, Q) rounds to 1, I_n is pinned between it
+    and 1 for this and every smaller K.
     """
     a, b = _interference_map(Q * gamma_s)
     pois, tail = _poisson(len(pmf) - 1, Q)
-    nu1 = 0.0
-    for K in range(2, len(pmf)):
-        n = K - 1
+    nu1, h = 0.0, None
+    for K in range(len(pmf) - 1, 1, -1):
         if tail[K] == 1.0:
-            nu1 += pmf[K]         # I_n is pinned between P(n+1, Q) and 1
-            continue
-        h = _case1_h(n, a, b)
+            nu1 += fsum(pmf[2:K + 1])
+            break
+        n = K - 1
+        h = _case1_h(n, a, b) if h is None else _case1_row_down(h, a, n)
         acc, apow = 0.0, 1.0
         for k in range(1, n + 1):
             apow *= a
@@ -263,9 +286,10 @@ def case1_outage(cfg: SystemConfig) -> OutageBreakdown:
 
     Exact and finite: nu1 = sum_K pmf[K] I_{K-1}(Q) with
     I_n = P(n+1, Q) + Q/(n+1) sum_{k=1..n} pi_{n-k}(Q) a^k h_k, derived in
-    `_case1_nu1`.  The h_k = 2F1(1, k; n+2; a) come from the recurrence in
-    `_case1_h`, not from `scipy.special.hyp2f1`, which on scipy 1.17.1 is
-    inf or outside 1 <= h_k <= (n+1)/(n+1-k) for n >= 99 and a > 0.9.
+    `_case1_nu1`.  The h_k = 2F1(1, k; n+2; a) come from one seeded top row
+    (`_case1_h`) and the positive row descent below it (`_case1_row_down`),
+    not from `scipy.special.hyp2f1`, which on scipy 1.17.1 is inf or outside
+    1 <= h_k <= (n+1)/(n+1-k) for n >= 99 and a > 0.9.
     """
     if cfg.case is not Case.DIRECT_LINK:
         raise InvalidCase("case1_outage needs cfg.case = DIRECT_LINK")

@@ -9,7 +9,7 @@ import numpy as np
 
 from .analytic import outage_probability
 from .config import Case, SystemConfig, _as_index, _as_real
-from .simulate import estimate_outage
+from .simulate import _check_run, estimate_outage
 
 
 class DegenerateFit(Exception):
@@ -81,8 +81,10 @@ def empirical_diversity(cfg: SystemConfig, r: float, gamma_grid,
         raise ValueError("gamma_grid must be strictly ascending")
     if not 0.0 <= r < multiplexing_limit(cfg):
         raise ValueError("r must lie in [0, multiplexing limit)")
-    if source is DiversitySource.MONTE_CARLO and grid[-1] > _MC_GAMMA_CAP:
-        raise ValueError(f"MonteCarlo source is capped at gamma <= {_MC_GAMMA_CAP:g}")
+    if source is DiversitySource.MONTE_CARLO:
+        if grid[-1] > _MC_GAMMA_CAP:
+            raise ValueError(f"MonteCarlo source is capped at gamma <= {_MC_GAMMA_CAP:g}")
+        _, seed, workers = _check_run(_MC_MIN_TRIALS, seed, workers)
 
     cfgs = [replace(cfg, gamma_p=float(g), R=cfg.R if r == 0.0 else r * log2(g))
             for g in grid]

@@ -45,8 +45,8 @@ def _mc_grid(case, base_seed):
                     cfg = SystemConfig(M=M, gamma_p=g, gamma_s=30.0, R=R,
                                        case=case, zeta=z)
                     nu = outage_probability(cfg).nu
-                    p = estimate_outage(cfg, MC_TRIALS,
-                                        seed=base_seed + row).primary.p_hat
+                    p = estimate_outage(cfg, MC_TRIALS, seed=base_seed + row,
+                                        workers=2).primary.p_hat
                     se = math.sqrt(nu * (1.0 - nu) / MC_TRIALS)
                     dev = abs(p - nu) / se if se > 0 else (0.0 if p == nu else math.inf)
                     worst = max(worst, dev)

@@ -534,7 +534,7 @@ def test_case1_former_quadrature_failures():
 
 def test_case1_hypergeometric_recurrence_vs_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    from cogrelay.analytic import _case1_h
+    from cogrelay.analytic import _case1_h, _case1_row_down
     with mpmath.workdps(30):
         for n in (1, 2, 7, 40, 98, 99, 120, 168):
             # every k up to n = 40, then both ends, the quarters and the a = 0.9 seed
@@ -545,6 +545,27 @@ def test_case1_hypergeometric_recurrence_vs_mpmath():
                 for k in ks:
                     ref = float(mpmath.hyp2f1(1, k, n + 2, a))
                     assert math.isclose(h[k], ref, rel_tol=1e-13), (n, a, k, h[k], ref)
+        # rows descended from one seeded top row N, as `_case1_nu1` builds them
+        for top in (40, 168, 1022):
+            rows = {1, 2, 3, top // 4, top // 2, top - 1}
+            for a in (1e-12, 0.5, 0.9, 0.99, 1.0 - 1e-9):
+                h = _case1_h(top, a, 1.0 - a)
+                for n in range(top - 1, 0, -1):
+                    h = _case1_row_down(h, a, n)
+                    if n not in rows:
+                        continue
+                    for k in sorted({1, max(n // 2, 1), n}):
+                        ref = float(mpmath.hyp2f1(1, k, n + 2, a))
+                        assert math.isclose(h[k], ref, rel_tol=1e-13), (top, n, a, k, h[k], ref)
+
+
+@pytest.mark.parametrize("M", [3, 6, 40])
+def test_case1_seeds_one_row_per_call(monkeypatch, M):
+    calls = []
+    seed = analytic._case1_h
+    monkeypatch.setattr(analytic, "_case1_h", lambda *a: calls.append(a) or seed(*a))
+    outage_probability(_cfg(M=M, R=0.75))
+    assert [n for n, _a, _b in calls] == [M - 2]
 
 
 def test_case1_large_m_stays_finite():

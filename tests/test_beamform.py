@@ -80,6 +80,16 @@ def test_optimal_weights_rejects_non_finite(h_pd, h_sd):
         optimal_weights(h_pd, h_sd)
 
 
+@pytest.mark.parametrize("h_pd, h_sd", [
+    ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]]),   # 2-D: vdot would flatten both
+    ([1.0, 2.0, 3.0], [1.0, 0.0]),                           # lengths differ
+    (1.0, 1.0),                                              # scalars
+])
+def test_optimal_weights_rejects_bad_shapes(h_pd, h_sd):
+    with pytest.raises(ValueError, match="1-D arrays of one length"):
+        optimal_weights(h_pd, h_sd)
+
+
 def test_degenerate_channels_raise():
     with pytest.raises(DegenerateChannel):
         optimal_weights(np.array([1.0 + 0j, 2.0]), np.zeros(2, dtype=complex))

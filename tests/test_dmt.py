@@ -130,3 +130,13 @@ def test_monte_carlo_fit_beyond_budget_raises_before_drawing(monkeypatch):
     monkeypatch.setattr(dmt, "estimate_outage", _no_draws)
     with pytest.raises(DegenerateFit, match="slots"):
         empirical_diversity(_cfg(), 0.0, np.logspace(2, 4, 7), source="monte_carlo")
+
+
+@pytest.mark.parametrize("kwargs", [{"workers": 0}, {"seed": -1}, {"seed": 2**128},
+                                    {"seed": 1.5}, {"workers": True}])
+def test_monte_carlo_fit_checks_seed_and_workers_before_budget(monkeypatch, kwargs):
+    # the same grid as the budget test: a bad argument is a ValueError, not DegenerateFit
+    monkeypatch.setattr(dmt, "estimate_outage", _no_draws)
+    with pytest.raises(ValueError, match="seed|workers"):
+        empirical_diversity(_cfg(), 0.0, np.logspace(2, 4, 7), source="monte_carlo",
+                            **kwargs)
