@@ -1,20 +1,29 @@
-"""Diversity-multiplexing tradeoff: analytic lines and empirical slope fits."""
+"""Diversity-multiplexing tradeoff: analytic lines and empirical slope fits.
+
+An empirical slope is the least-squares line through the top half of the
+(log gamma, log nu) points, summed in floats as
+fsum((x - x_mean)(y - y_mean)) / fsum((x - x_mean)^2).  For the few points
+a fit takes (4 of the CLI's 7), that costs less than a numpy fit's call
+overhead.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import log2
+from math import fsum, log, log2
 
 import numpy as np
 
 from .analytic import outage_probability
+from .channel import _as_seed
 from .config import Case, SystemConfig, _as_index, _as_real
 from .simulate import _check_run, estimate_outage
 
 
 class DegenerateFit(Exception):
     """Raised when no log-log slope can be fitted: an outage sample is zero or
-    invalid, or a Monte Carlo fit would need more than _MC_MAX_SLOTS slots."""
+    invalid, the top half of the grid spans no range of log gamma, or a Monte
+    Carlo fit would need more than _MC_MAX_SLOTS slots."""
 
 
 class DiversitySource(str, Enum):
@@ -70,14 +79,20 @@ def empirical_diversity(cfg: SystemConfig, r: float, gamma_grid,
 
     At r = 0 the rate stays pinned at cfg.R; for r > 0 each grid point uses
     R_i = r log2(gamma_i).  The secondary SNR is held at cfg.gamma_s
-    throughout so only the primary link scales.
+    throughout so only the primary link scales.  gamma_grid holds at least 3
+    strictly ascending real SNRs, else ValueError.  The Monte Carlo source
+    draws point i from seed + i, so seed + len(gamma_grid) - 1 must lie in
+    [0, 2^128) as well.
     """
     source = DiversitySource(source)
     r = _as_real("r", r)
-    grid = np.asarray(gamma_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 3:
+    try:
+        grid = [_as_real("gamma_grid", g) for g in gamma_grid]
+    except TypeError:
+        raise ValueError(f"gamma_grid must be a sequence of reals, got {gamma_grid!r}") from None
+    if len(grid) < 3:
         raise ValueError("gamma_grid must hold at least 3 SNRs")
-    if np.any(np.diff(grid) <= 0):
+    if not all(g0 < g1 for g0, g1 in zip(grid, grid[1:])):
         raise ValueError("gamma_grid must be strictly ascending")
     if not 0.0 <= r < multiplexing_limit(cfg):
         raise ValueError("r must lie in [0, multiplexing limit)")
@@ -85,9 +100,10 @@ def empirical_diversity(cfg: SystemConfig, r: float, gamma_grid,
         if grid[-1] > _MC_GAMMA_CAP:
             raise ValueError(f"MonteCarlo source is capped at gamma <= {_MC_GAMMA_CAP:g}")
         _, seed, workers = _check_run(_MC_MIN_TRIALS, seed, workers)
+        # point i draws from key seed + i, so the last key must be a seed too
+        _as_seed("seed + len(gamma_grid) - 1", seed + len(grid) - 1)
 
-    cfgs = [replace(cfg, gamma_p=float(g), R=cfg.R if r == 0.0 else r * log2(g))
-            for g in grid]
+    cfgs = [replace(cfg, gamma_p=g, R=cfg.R if r == 0.0 else r * log2(g)) for g in grid]
     nus = [outage_probability(c).nu for c in cfgs]
     if source is DiversitySource.MONTE_CARLO:
         trials = [int(max(_MC_MIN_TRIALS, 100.0 / max(nu, 1e-12))) for nu in nus]
@@ -100,6 +116,13 @@ def empirical_diversity(cfg: SystemConfig, r: float, gamma_grid,
         if not nu > 0.0:
             raise DegenerateFit(f"outage {nu} at gamma={g:g} admits no log-log fit")
 
-    top = slice(grid.size // 2, None)
-    slope = np.polyfit(np.log(grid[top]), np.log(nus)[top], 1)[0]
-    return 0.0 - float(slope)     # +0.0, not -0.0, for a flat outage
+    top = len(grid) // 2
+    x = [log(g) for g in grid[top:]]
+    if x[0] == x[-1]:
+        raise DegenerateFit(f"the top of gamma_grid, {grid[top]:g}..{grid[-1]:g}, "
+                            "spans no range of log gamma")
+    y = [log(nu) for nu in nus[top:]]
+    x_mean, y_mean = fsum(x) / len(x), fsum(y) / len(y)
+    dx = [xi - x_mean for xi in x]
+    slope = fsum(d * (yi - y_mean) for d, yi in zip(dx, y)) / fsum(d * d for d in dx)
+    return 0.0 - slope     # +0.0, not -0.0, for a flat outage

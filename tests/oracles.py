@@ -11,10 +11,11 @@ laws in high-precision finite sums, sharing no code with the closed forms;
 `projection_matrix` the K x K projector the beamformer applies in rank-1 form,
 `effective_gain_ref` the batched gain with explicit |h|^2 temporaries, and
 `outage_block_ref` / `schedule_block_ref` the Monte Carlo block tasks that
-fold a whole block at once instead of chunk by chunk.
+fold a whole block at once instead of chunk by chunk, and
+`empirical_diversity_ref` the closed-form DMT slope by numpy's line fit.
 """
 from dataclasses import replace
-from math import comb, exp, expm1, factorial, lgamma, log, nan
+from math import comb, exp, expm1, factorial, lgamma, log, log2, nan
 from typing import Callable
 
 import mpmath
@@ -22,7 +23,7 @@ import numpy as np
 from scipy import integrate, special
 
 from cogrelay.analytic import (InvalidCase, OutageBreakdown, QuadratureFailure,
-                               _breakdown, _nu_small_k)
+                               _breakdown, _nu_small_k, outage_probability)
 from cogrelay.beamform import _DEGENERACY_FLOOR, DegenerateChannel
 from cogrelay.channel import decoding_set_pmf, draw_realizations, substream
 from cogrelay.config import Case, SystemConfig, snr_threshold
@@ -242,6 +243,16 @@ def search_zeta_exhaustive(cfg: SystemConfig, k: int, grid_size: int = 999) -> Q
         return QosSolution(feasible=False, omega=(nan,) * cfg.M, zeta=nan,
                            lambda_k_max=0.0, slack=nan, k=k)
     return best
+
+
+def empirical_diversity_ref(cfg: SystemConfig, r: float, gamma_grid) -> float:
+    """-slope of `np.polyfit`'s line through the top half of (log gamma, log nu),
+    with nu the closed form at the configs `empirical_diversity` builds."""
+    grid = np.asarray(gamma_grid, dtype=float)
+    nus = [outage_probability(replace(cfg, gamma_p=g, R=cfg.R if r == 0.0 else r * log2(g))).nu
+           for g in grid]
+    top = slice(grid.size // 2, None)
+    return -float(np.polyfit(np.log(grid[top]), np.log(nus)[top], 1)[0])
 
 
 def moment_one_plus_phi(n: int, gamma_s: float) -> float:

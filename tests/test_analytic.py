@@ -557,6 +557,16 @@ def test_case1_hypergeometric_recurrence_vs_mpmath():
                     for k in sorted({1, max(n // 2, 1), n}):
                         ref = float(mpmath.hyp2f1(1, k, n + 2, a))
                         assert math.isclose(h[k], ref, rel_tol=1e-13), (top, n, a, k, h[k], ref)
+        # both sides of the float-loop / array cut of the seed series (b = 40/terms)
+        # and of the log-branch boundary (n+1) b = 1/2, every k
+        a_cut = 1.0 - 40.0 / analytic._SEED_LOOP_TERMS
+        for n in (1, 2, 4, 8, 38):
+            a_log = 1.0 - 0.5 / (n + 1)
+            for a in (a_cut - 1e-9, a_cut + 1e-9, a_log - 1e-9, a_log + 1e-9):
+                h = _case1_h(n, a, 1.0 - a)
+                for k in range(1, n + 1):
+                    ref = float(mpmath.hyp2f1(1, k, n + 2, a))
+                    assert math.isclose(h[k], ref, rel_tol=1e-13), (n, a, k, h[k], ref)
 
 
 @pytest.mark.parametrize("M", [3, 6, 40])
@@ -566,6 +576,16 @@ def test_case1_seeds_one_row_per_call(monkeypatch, M):
     monkeypatch.setattr(analytic, "_case1_h", lambda *a: calls.append(a) or seed(*a))
     outage_probability(_cfg(M=M, R=0.75))
     assert [n for n, _a, _b in calls] == [M - 2]
+
+
+def test_case1_seed_at_the_fig1_point_builds_no_array(monkeypatch):
+    # gamma_p 50, gamma_s 30, R 0.75: a = 0.52, a short seed series summed in floats
+    calls = []
+    arange = np.arange
+    monkeypatch.setattr(np, "arange", lambda *a, **k: calls.append(a) or arange(*a, **k))
+    for M in (4, 5, 6):
+        outage_probability(_cfg(M=M, R=0.75))
+    assert calls == []
 
 
 def test_case1_large_m_stays_finite():

@@ -1,10 +1,12 @@
 import itertools
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import oracles
 from cogrelay import dmt
 from cogrelay import (Case, DegenerateFit, DiversitySource, SystemConfig,
                       analytic_dmt, empirical_diversity, max_diversity,
@@ -113,12 +115,50 @@ def test_empirical_diversity_validation():
     for r in ("0", None, 0j, False):                 # not a real multiplexing gain
         with pytest.raises(ValueError, match="r must be a real number"):
             empirical_diversity(cfg, r, good)
+    # SNRs are real numbers, as every other real input: no string parsing, no bools
+    for grid in (["100", "1000", "10000"], [100.0, "1000", 10000.0], [True, 10.0, 100.0],
+                 [10.0, 100.0, np.bool_(True)], 5, np.ones((3, 3))):
+        with pytest.raises(ValueError, match="gamma_grid must be"):
+            empirical_diversity(cfg, 0.0, grid)
+    for grid in ([10.0, math.nan, 100.0], [math.nan, 10.0, 100.0], [10.0, 100.0, math.inf],
+                 [-math.inf, 10.0, 100.0]):
+        with pytest.raises(ValueError):
+            empirical_diversity(cfg, 0.0, grid)
+    assert (empirical_diversity(cfg, 0.0, [1000, 10**4, np.int64(10**5)])
+            == empirical_diversity(cfg, 0.0, np.array([1e3, 1e4, 1e5])))
+
+
+@pytest.mark.parametrize("case, M", [("direct", 3), ("direct", 5), ("nodirect", 4),
+                                     ("nodirect", 6)])
+def test_empirical_diversity_matches_polyfit_oracle(case, M):
+    rng = np.random.default_rng(M)
+    cfg = _cfg(case, M=M)
+    for size in range(3, 10):
+        # ascending log10 gamma from 1 to at most 6.4, at least 0.1 decade apart
+        grid = 10.0 ** (1.0 + np.cumsum(rng.uniform(0.1, 0.6, size)))
+        for r in (0.0, rng.uniform(0.05, 0.9) * multiplexing_limit(cfg)):
+            d = empirical_diversity(cfg, r, grid)
+            ref = oracles.empirical_diversity_ref(cfg, r, grid)
+            assert math.isclose(d, ref, rel_tol=1e-12, abs_tol=1e-12), (size, r, d, ref)
+
+
+def test_empirical_diversity_makes_no_polyfit_call(monkeypatch):
+    # at the fig1 point (gamma_p 50, gamma_s 30, R 0.75) the slope is summed in floats
+    calls = []
+    polyfit = np.polyfit
+    monkeypatch.setattr(np, "polyfit", lambda *a, **k: calls.append(a) or polyfit(*a, **k))
+    for r in (0.0, 0.25):
+        empirical_diversity(_cfg(M=4, R=0.75), r, np.logspace(2, 4, 7))
+    assert calls == []
 
 
 def test_degenerate_fit():
     # R = 0 makes the outage identically zero: no slope exists
     with pytest.raises(DegenerateFit):
         empirical_diversity(_cfg(M=3, R=0.0), 0.0, np.logspace(3, 5, 5))
+    # the top half of the grid is two SNRs one ulp apart, with one log
+    with pytest.raises(DegenerateFit, match="log gamma"):
+        empirical_diversity(_cfg(M=2), 0.0, [2.0, 3.0, 1e300, np.nextafter(1e300, math.inf)])
 
 
 def _no_draws(*args, **kwargs):
@@ -140,3 +180,22 @@ def test_monte_carlo_fit_checks_seed_and_workers_before_budget(monkeypatch, kwar
     with pytest.raises(ValueError, match="seed|workers"):
         empirical_diversity(_cfg(), 0.0, np.logspace(2, 4, 7), source="monte_carlo",
                             **kwargs)
+
+
+def test_monte_carlo_fit_checks_last_key_before_drawing(monkeypatch):
+    # point i draws from key seed + i: the last key must lie in [0, 2^128) too
+    keys = []
+
+    def closed_form(cfg, trials, seed, workers):
+        keys.append(seed)
+        return SimpleNamespace(primary=SimpleNamespace(p_hat=outage_probability(cfg).nu))
+
+    monkeypatch.setattr(dmt, "estimate_outage", closed_form)
+    grid = [10.0, 20.0, 40.0]
+    for seed in (2**128 - 1, 2**128 - 2):
+        with pytest.raises(ValueError, match="seed"):
+            empirical_diversity(_cfg(M=3), 0.0, grid, source="monte_carlo", seed=seed)
+    assert keys == []
+    d = empirical_diversity(_cfg(M=3), 0.0, grid, source="monte_carlo", seed=2**128 - 3)
+    assert keys == [2**128 - 3, 2**128 - 2, 2**128 - 1]
+    assert d == empirical_diversity(_cfg(M=3), 0.0, grid)
