@@ -12,8 +12,7 @@ from .analytic import (InvalidCase, OutageBreakdown, QuadratureFailure,
                        outage_probability)
 from .beamform import (BeamformerResult, DegenerateChannel, effective_gain,
                        optimal_weights)
-from .channel import (ChannelBlock, decode_mask, decoding_set_pmf,
-                      draw_realizations, substream)
+from .channel import ChannelBlock, decode_mask, draw_realizations, substream
 from .config import Case, SystemConfig, snr_threshold
 from .dmt import (DegenerateFit, DiversitySource, DmtCurve, analytic_dmt,
                   empirical_diversity, max_diversity, multiplexing_limit)
@@ -32,10 +31,10 @@ __all__ = [
     "InvalidCase", "OutageBreakdown", "OutageEstimate", "OutageSimulation",
     "PrimaryInfeasible", "QosSolution", "QuadratureFailure",
     "ScheduleEstimate", "SecondaryInfeasible", "SystemConfig", "analytic_dmt",
-    "case1_outage", "case2_outage", "decode_mask", "decoding_set_pmf",
-    "draw_realizations", "effective_gain", "empirical_diversity",
-    "estimate_outage", "estimate_schedule_throughput", "max_diversity",
-    "max_lambda_k", "multiplexing_limit", "optimal_weights", "outage_highsnr",
+    "case1_outage", "case2_outage", "decode_mask", "draw_realizations",
+    "effective_gain", "empirical_diversity", "estimate_outage",
+    "estimate_schedule_throughput", "max_diversity", "max_lambda_k",
+    "multiplexing_limit", "optimal_weights", "outage_highsnr",
     "outage_probability", "search_zeta", "secondary_success_prob",
     "snr_threshold", "solve_assignment", "substream",
 ]

@@ -45,16 +45,17 @@ def optimal_weights(h_pd: np.ndarray, h_sd: np.ndarray) -> BeamformerResult:
 
     alpha is computed as ||Psi h_pd||^2 (identical to |g*' h_pd|^2
     analytically, but free of one cancellation-prone inner product).  h_pd
-    and h_sd must be 1-D arrays of one length K; any other shape, or a NaN
-    or infinite channel entry, raises ValueError.
+    and h_sd must be 1-D arrays of one length K whose entries are finite
+    ints, floats or complex numbers; any other shape or dtype (text, bools,
+    objects), or a NaN or infinite entry, raises ValueError.
     """
-    h_pd = np.asarray(h_pd, dtype=complex)
-    h_sd = np.asarray(h_sd, dtype=complex)
+    h_pd, h_sd = np.asarray(h_pd), np.asarray(h_sd)
     if h_pd.ndim != 1 or h_pd.shape != h_sd.shape:
         raise ValueError("h_pd and h_sd must be 1-D arrays of one length, "
                          f"got shapes {h_pd.shape} and {h_sd.shape}")
-    if not (np.isfinite(h_pd).all() and np.isfinite(h_sd).all()):
-        raise ValueError("channel entries must be finite")
+    if not all(h.dtype.kind in "iufc" and np.isfinite(h).all() for h in (h_pd, h_sd)):
+        raise ValueError("channel entries must be finite ints, floats or complex numbers")
+    h_pd, h_sd = h_pd.astype(complex), h_sd.astype(complex)
     proj = _project_out(h_sd, h_pd)
     alpha = float(np.real(np.vdot(proj, proj)))
     if alpha < _DEGENERACY_FLOOR:

@@ -24,6 +24,8 @@ import numpy as np
 
 from .config import Case, SystemConfig, _as_index
 
+_PHILOX_KEYS = 2**128      # Philox's key and counter range: seeds and indices lie below it
+
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Independent, reproducible generator for the index-th block of a run.
@@ -32,16 +34,8 @@ def substream(seed: int, index: int) -> np.random.Generator:
     which worker draws it or how many blocks were drawn before it.  seed and
     index are integers in [0, 2^128); anything else raises ValueError.
     """
-    return np.random.Generator(np.random.Philox(key=_as_seed("seed", seed))
-                               .jumped(_as_seed("index", index)))
-
-
-def _as_seed(name: str, x) -> int:
-    """x as an int in [0, 2^128), Philox's key and counter range, else ValueError."""
-    x = _as_index(name, x)
-    if not 0 <= x < 2**128:
-        raise ValueError(f"{name} must lie in [0, 2**128), got {x}")
-    return x
+    return np.random.Generator(np.random.Philox(key=_as_index("seed", seed, 0, _PHILOX_KEYS))
+                               .jumped(_as_index("index", index, 0, _PHILOX_KEYS)))
 
 
 @dataclass(frozen=True)
@@ -68,8 +62,6 @@ def draw_realizations(cfg: SystemConfig, n: int, rng: np.random.Generator) -> Ch
     >= 0; anything else raises ValueError.
     """
     n = _as_index("n", n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     return next(_draw_chunks(cfg, n, rng, max(n, 1)))
 
 
@@ -121,7 +113,3 @@ def _small_k_mass(m: int, q: float) -> float:
     L, L_bar = exp(-q), -expm1(-q)
     return L_bar**m + m * L * L_bar ** (m - 1) if m > 1 else 1.0
 
-
-def decoding_set_pmf(cfg: SystemConfig) -> np.ndarray:
-    """Numpy view of `_binomial_pmf`: Binomial(M-1, e^-q), q = broadcast threshold/gamma_p."""
-    return np.array(_binomial_pmf(cfg.M - 1, cfg.thresholds()[0] / cfg.gamma_p))

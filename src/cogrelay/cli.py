@@ -33,7 +33,7 @@ import numpy as np
 
 from .analytic import InvalidCase, outage_highsnr, outage_probability
 from .beamform import DegenerateChannel
-from .config import Case, SystemConfig
+from .config import Case, SystemConfig, _as_index
 from .dmt import DegenerateFit, DiversitySource, analytic_dmt, empirical_diversity
 from .qos import QosSolution, _solve, search_zeta
 from .simulate import estimate_outage
@@ -293,29 +293,23 @@ def build_spec(argv=None):
             raise ConfigError(f"missing value for '{tok}'")
         _set(values, tok[2:], extras[i + 1], tok)
 
-    if args.trials < 1:
-        raise ConfigError("--trials must be >= 1")
-    if args.workers < 1:
-        raise ConfigError("--workers must be >= 1")
-    if not 0 <= args.seed < 2**64:
-        raise ConfigError("--seed must lie in [0, 2**64)")
-
     cfg_args = {f.name: values[f.name] for f in fields(SystemConfig)}
     cfg_args["lambda_s"] = values["lambda_s"] or None
     try:
+        _as_index("--trials", args.trials, 1)
+        _as_index("--workers", args.workers, 1)
+        _as_index("--seed", args.seed, 0, 2**64)
         cfg = SystemConfig(**cfg_args)
+        _as_index("n_points", values["n_points"], 2)
+        _as_index("k", values["k"], 1, cfg.M + 1)    # 1-based at the CLI
     except ValueError as err:
         raise ConfigError(str(err)) from None
     if not all(isfinite(values[key]) for key in ("gamma_min", "gamma_max", "R_min", "R_max")):
         raise ConfigError("sweep ranges must be finite")
-    if values["n_points"] < 2:
-        raise ConfigError("n_points must be >= 2")
     if values["gamma_min"] <= 0 or values["gamma_max"] <= values["gamma_min"]:
         raise ConfigError("need 0 < gamma_min < gamma_max")
     if values["R_max"] < values["R_min"] or values["R_min"] < 0:
         raise ConfigError("need 0 <= R_min <= R_max")
-    if not 1 <= values["k"] <= cfg.M:
-        raise ConfigError(f"k={values['k']} does not index a user of M={cfg.M}")
     spec = ExperimentSpec(
         name=args.experiment,
         cfg=cfg,

@@ -39,18 +39,13 @@ class SystemConfig:
     lambda_s: tuple[float, ...] | None = None  # per-SU throughput targets, length M (default zeros)
 
     def __post_init__(self):
-        object.__setattr__(self, "M", _as_index("M", self.M))
-        if not 2 <= self.M <= 1024:
-            raise ValueError(f"M must lie in 2..1024, got M={self.M}")
+        object.__setattr__(self, "M", _as_index("M", self.M, 2, 1025))
         for name in ("gamma_p", "gamma_s", "R", "zeta", "lambda_p"):
             object.__setattr__(self, name, _as_real(name, getattr(self, name)))
         if not isinstance(self.case, Case):
             object.__setattr__(self, "case", Case(self.case))
         targets = (0.0,) * self.M if self.lambda_s is None else self.lambda_s
-        try:
-            object.__setattr__(self, "lambda_s", tuple(_as_real("lambda_s", x) for x in targets))
-        except TypeError:
-            raise ValueError(f"lambda_s must be a sequence of reals, got {targets!r}") from None
+        object.__setattr__(self, "lambda_s", _as_reals("lambda_s", targets))
         if not (0.0 < self.gamma_p < math.inf and 0.0 < self.gamma_s < math.inf):
             raise ValueError(f"SNRs must be finite and > 0, got {self.gamma_p} and {self.gamma_s}")
         if not math.isfinite(self.R) or self.R < 0:
@@ -71,13 +66,16 @@ class SystemConfig:
         return _split_threshold(self.R, zeta), _split_threshold(self.R, zeta, True)
 
 
-def _as_index(name: str, x) -> int:
+def _as_index(name: str, x, lo: int = 0, hi: int | None = None) -> int:
+    """x as an int in [lo, hi), or any int >= lo when hi is None; else ValueError."""
     try:     # a bool is no count, though operator.index(True) is 1
-        if type(x) is not bool:
-            return operator.index(x)
+        i = operator.index(None if type(x) is bool else x)
     except TypeError:
-        pass
-    raise ValueError(f"{name} must be an integer, got {x!r}")
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+    if lo <= i and (hi is None or i < hi):
+        return i
+    raise ValueError(f"{name} must be >= {lo}, got {i}" if hi is None
+                     else f"{name} must lie in [{lo}, {hi}), got {i}")
 
 
 def _as_real(name: str, x) -> float:
@@ -87,6 +85,14 @@ def _as_real(name: str, x) -> float:
     except OverflowError:
         pass
     raise ValueError(f"{name} must be a real number, got {x!r}")
+
+
+def _as_reals(name: str, xs) -> tuple:
+    """xs as a tuple of floats, each as `_as_real` takes it; ValueError unless xs iterates."""
+    try:
+        return tuple(_as_real(name, x) for x in xs)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of reals, got {xs!r}") from None
 
 
 def snr_threshold(rate: float) -> float:

@@ -10,19 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import fsum, log, log2
+from math import fsum, inf, log, log2
 
 import numpy as np
 
 from .analytic import outage_probability
-from .channel import _as_seed
-from .config import Case, SystemConfig, _as_index, _as_real
-from .simulate import _check_run, estimate_outage
+from .channel import _PHILOX_KEYS
+from .config import Case, SystemConfig, _as_index, _as_real, _as_reals
+from .simulate import estimate_outage
 
 
 class DegenerateFit(Exception):
-    """Raised when no log-log slope can be fitted: an outage sample is zero or
-    invalid, the top half of the grid spans no range of log gamma, or a Monte
+    """Raised when no log-log slope can be fitted: a fitted outage sample is zero
+    or invalid, the top half of the grid spans no range of log gamma, or a Monte
     Carlo fit would need more than _MC_MAX_SLOTS slots."""
 
 
@@ -62,9 +62,7 @@ def analytic_dmt(cfg: SystemConfig, num_points: int = 51) -> DmtCurve:
 
     num_points is an integer >= 2; anything else raises ValueError.
     """
-    num_points = _as_index("num_points", num_points)
-    if num_points < 2:
-        raise ValueError("num_points must be >= 2")
+    num_points = _as_index("num_points", num_points, 2)
     r_max = multiplexing_limit(cfg)
     d_max = max_diversity(cfg)
     rs = np.linspace(0.0, r_max, num_points)
@@ -80,30 +78,37 @@ def empirical_diversity(cfg: SystemConfig, r: float, gamma_grid,
     At r = 0 the rate stays pinned at cfg.R; for r > 0 each grid point uses
     R_i = r log2(gamma_i).  The secondary SNR is held at cfg.gamma_s
     throughout so only the primary link scales.  gamma_grid holds at least 3
-    strictly ascending real SNRs, else ValueError.  The Monte Carlo source
-    draws point i from seed + i, so seed + len(gamma_grid) - 1 must lie in
-    [0, 2^128) as well.
+    strictly ascending finite real SNRs > 0, else ValueError.  Only the
+    fitted points, gamma_grid[len(gamma_grid) // 2:], are evaluated: a zero
+    or invalid outage among them raises DegenerateFit, while one below them,
+    or a negative rate r log2(gamma) at gamma < 1, raises nothing.  The Monte
+    Carlo source draws point i (its index in the whole grid) from seed + i,
+    so seed + len(gamma_grid) - 1 must lie in [0, 2^128) as well, and
+    workers is an integer >= 1.
     """
     source = DiversitySource(source)
     r = _as_real("r", r)
-    try:
-        grid = [_as_real("gamma_grid", g) for g in gamma_grid]
-    except TypeError:
-        raise ValueError(f"gamma_grid must be a sequence of reals, got {gamma_grid!r}") from None
+    grid = _as_reals("gamma_grid", gamma_grid)
     if len(grid) < 3:
         raise ValueError("gamma_grid must hold at least 3 SNRs")
-    if not all(g0 < g1 for g0, g1 in zip(grid, grid[1:])):
-        raise ValueError("gamma_grid must be strictly ascending")
+    if not all(g0 < g1 for g0, g1 in zip((0.0, *grid), (*grid, inf))):   # 0 < g_0 < ... < inf
+        raise ValueError("gamma_grid must be strictly ascending finite SNRs > 0")
     if not 0.0 <= r < multiplexing_limit(cfg):
         raise ValueError("r must lie in [0, multiplexing limit)")
     if source is DiversitySource.MONTE_CARLO:
         if grid[-1] > _MC_GAMMA_CAP:
             raise ValueError(f"MonteCarlo source is capped at gamma <= {_MC_GAMMA_CAP:g}")
-        _, seed, workers = _check_run(_MC_MIN_TRIALS, seed, workers)
         # point i draws from key seed + i, so the last key must be a seed too
-        _as_seed("seed + len(gamma_grid) - 1", seed + len(grid) - 1)
+        seed = _as_index("seed", seed, 0, _PHILOX_KEYS - len(grid) + 1)
+        workers = _as_index("workers", workers, 1)
 
-    cfgs = [replace(cfg, gamma_p=g, R=cfg.R if r == 0.0 else r * log2(g)) for g in grid]
+    top = len(grid) // 2
+    fit = grid[top:]
+    x = [log(g) for g in fit]
+    if x[0] == x[-1]:
+        raise DegenerateFit(f"the top of gamma_grid, {fit[0]:g}..{fit[-1]:g}, "
+                            "spans no range of log gamma")
+    cfgs = [replace(cfg, gamma_p=g, R=cfg.R if r == 0.0 else r * log2(g)) for g in fit]
     nus = [outage_probability(c).nu for c in cfgs]
     if source is DiversitySource.MONTE_CARLO:
         trials = [int(max(_MC_MIN_TRIALS, 100.0 / max(nu, 1e-12))) for nu in nus]
@@ -111,17 +116,11 @@ def empirical_diversity(cfg: SystemConfig, r: float, gamma_grid,
             raise DegenerateFit(f"Monte Carlo fit plans {sum(trials):.3g} slots, "
                                 f"over the budget of {_MC_MAX_SLOTS:.0e}")
         nus = [estimate_outage(c, n, seed=seed + i, workers=workers).primary.p_hat
-               for i, (c, n) in enumerate(zip(cfgs, trials))]
-    for g, nu in zip(grid, nus):
+               for i, (c, n) in enumerate(zip(cfgs, trials), top)]
+    for g, nu in zip(fit, nus):
         if not nu > 0.0:
             raise DegenerateFit(f"outage {nu} at gamma={g:g} admits no log-log fit")
-
-    top = len(grid) // 2
-    x = [log(g) for g in grid[top:]]
-    if x[0] == x[-1]:
-        raise DegenerateFit(f"the top of gamma_grid, {grid[top]:g}..{grid[-1]:g}, "
-                            "spans no range of log gamma")
-    y = [log(nu) for nu in nus[top:]]
+    y = [log(nu) for nu in nus]
     x_mean, y_mean = fsum(x) / len(x), fsum(y) / len(y)
     dx = [xi - x_mean for xi in x]
     slope = fsum(d * (yi - y_mean) for d, yi in zip(dx, y)) / fsum(d * d for d in dx)

@@ -47,13 +47,6 @@ def secondary_success_prob(cfg: SystemConfig) -> float:
     return _success_prob(cfg.thresholds()[1], cfg.gamma_s)
 
 
-def _check_k(cfg: SystemConfig, k: int) -> int:
-    k = _as_index("k", k)
-    if not 0 <= k < cfg.M:
-        raise ValueError(f"k must index a secondary user (0..{cfg.M - 1})")
-    return k
-
-
 def _infeasible(cfg: SystemConfig, k: int, zeta: float, lambda_k_max: float) -> QosSolution:
     """NaN omega and slack; a row's lambda_k_max is max_lambda_k's (0 if the primary fails)."""
     return QosSolution(feasible=False, omega=(nan,) * cfg.M, zeta=zeta,
@@ -66,7 +59,7 @@ def _solve(cfg: SystemConfig, k: int, nu: float | None = None):
     The error is what the raising API throws, the primary checked first.
     nu is the primary outage at cfg, evaluated here unless the caller has it.
     """
-    k = _check_k(cfg, k)
+    k = _as_index("k", k, 0, cfg.M)
     nu = outage_probability(cfg).nu if nu is None else nu
     if cfg.lambda_p > 1.0 - nu:
         return _infeasible(cfg, k, cfg.zeta, 0.0), PrimaryInfeasible(
@@ -128,10 +121,8 @@ def search_zeta(cfg: SystemConfig, k: int, grid_size: int = 999) -> QosSolution:
     """
     if cfg.case is not Case.NO_DIRECT_LINK:
         raise InvalidCase("search_zeta applies to the no-direct-link case only")
-    k = _check_k(cfg, k)
-    grid_size = _as_index("grid_size", grid_size)
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
+    k = _as_index("k", k, 0, cfg.M)
+    grid_size = _as_index("grid_size", grid_size, 1)
     total = fsum(cfg.lambda_s)
     n = grid_size + 1
     # bisect for the last split lo whose nu2 alone fails the primary by 1e-12

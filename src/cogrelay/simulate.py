@@ -24,8 +24,8 @@ from math import fsum, inf, sqrt
 import numpy as np
 
 from .beamform import effective_gain
-from .channel import ChannelBlock, _as_seed, _draw_chunks, decode_mask, substream
-from .config import Case, SystemConfig, _as_index, _as_real
+from .channel import _PHILOX_KEYS, ChannelBlock, _draw_chunks, decode_mask, substream
+from .config import Case, SystemConfig, _as_index, _as_reals
 
 BLOCK_SLOTS = 16384
 _CHUNK_LINKS = 2**15       # relay links per chunk of a block
@@ -131,12 +131,8 @@ def _fold(cfg: SystemConfig, task, trials: int, workers: int) -> tuple:
 
 def _check_run(trials, seed, workers) -> tuple:
     """(trials, seed, workers) as ints; ValueError unless each lies in its range."""
-    trials, workers = _as_index("trials", trials), _as_index("workers", workers)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return trials, _as_seed("seed", seed), workers
+    return (_as_index("trials", trials, 1), _as_index("seed", seed, 0, _PHILOX_KEYS),
+            _as_index("workers", workers, 1))
 
 
 def _estimate(count: int, trials: int) -> OutageEstimate:
@@ -171,10 +167,7 @@ def estimate_schedule_throughput(cfg: SystemConfig, omega, trials: int,
     else raises ValueError.
     """
     trials, seed, workers = _check_run(trials, seed, workers)
-    try:
-        omega = tuple(_as_real("omega", w) for w in omega)
-    except TypeError:
-        raise ValueError(f"omega must be a sequence of reals, got {omega!r}") from None
+    omega = _as_reals("omega", omega)
     if (len(omega) != cfg.M or not all(0.0 <= w < inf for w in omega)
             or abs(fsum(omega) - 1.0) > 1e-9):
         raise ValueError("omega must be M finite nonnegative probabilities summing to 1")

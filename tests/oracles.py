@@ -3,7 +3,8 @@
 `average_over_phi` is the adaptive quadrature the closed forms are checked
 against, and `case1_outage_given_phi` / `case2_outage_given_phi` the
 phi-conditional outages it averages, with `decoding_q` the per-relay
-threshold that `_nu_small_k` takes.  `outage_mp` builds nu from the model's
+threshold that `_nu_small_k` takes and `decoding_pmf` the Binomial law of
+the decoding-set size.  `outage_mp` builds nu from the model's
 laws in high-precision finite sums, sharing no code with the closed forms;
 `case2_nu1_mp` is the case-2 finite sum itself, where float e^-c underflows.
 `search_zeta_exhaustive` is the full grid scan behind `search_zeta`,
@@ -25,10 +26,10 @@ from scipy import integrate, special
 from cogrelay.analytic import (InvalidCase, OutageBreakdown, QuadratureFailure,
                                _breakdown, _nu_small_k, outage_probability)
 from cogrelay.beamform import _DEGENERACY_FLOOR, DegenerateChannel
-from cogrelay.channel import decoding_set_pmf, draw_realizations, substream
-from cogrelay.config import Case, SystemConfig, snr_threshold
+from cogrelay.channel import draw_realizations, substream
+from cogrelay.config import Case, SystemConfig, _as_index, snr_threshold
 from cogrelay.qos import (PrimaryInfeasible, QosSolution, SecondaryInfeasible,
-                          _check_k, solve_assignment)
+                          solve_assignment)
 from cogrelay.simulate import _slot_events
 
 # term cap for the open-ended series of `_case1_bracket`: over its reachable
@@ -128,7 +129,7 @@ def _case1_bracket(K: int, Q: float, phi: float) -> float:
 
 def _case1_nu1_given_phi(cfg: SystemConfig, phi: float) -> float:
     Q = phase_q(cfg)[1]
-    pmf = decoding_set_pmf(cfg)
+    pmf = decoding_pmf(cfg)
     return sum(pmf[K] * _case1_bracket(K, Q, phi) for K in range(2, cfg.M))
 
 
@@ -150,6 +151,13 @@ def decoding_q(cfg: SystemConfig) -> float:
     return phase_q(cfg)[0]
 
 
+def decoding_pmf(cfg: SystemConfig) -> np.ndarray:
+    """Binomial(M-1, e^-q) pmf of the decoding-set size, q = `decoding_q(cfg)`;
+    1 - e^-q is -expm1(-q), exact as q -> 0."""
+    q, m = decoding_q(cfg), cfg.M - 1
+    return np.array([comb(m, K) * exp(-q) ** K * (-expm1(-q)) ** (m - K) for K in range(m + 1)])
+
+
 def case1_outage_given_phi(cfg: SystemConfig, phi: float) -> OutageBreakdown:
     """Outage probabilities conditioned on the interference level phi."""
     if cfg.case is not Case.DIRECT_LINK:
@@ -162,7 +170,7 @@ def case2_outage_given_phi(cfg: SystemConfig, phi: float) -> OutageBreakdown:
     if cfg.case is not Case.NO_DIRECT_LINK:
         raise InvalidCase("case2_outage_given_phi needs cfg.case = NO_DIRECT_LINK")
     x_zeta = snr_threshold(phase_rates(cfg)[1]) * (1.0 + phi) / cfg.gamma_p
-    pmf = decoding_set_pmf(cfg)
+    pmf = decoding_pmf(cfg)
     nu1 = sum(pmf[K] * special.gammainc(K - 1, x_zeta) for K in range(2, cfg.M))
     return _breakdown(nu1, _nu_small_k(cfg, decoding_q(cfg)))
 
@@ -227,9 +235,7 @@ def search_zeta_exhaustive(cfg: SystemConfig, k: int, grid_size: int = 999) -> Q
     """
     if cfg.case is not Case.NO_DIRECT_LINK:
         raise InvalidCase("search_zeta applies to the no-direct-link case only")
-    k = _check_k(cfg, k)
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
+    k, grid_size = _as_index("k", k, 0, cfg.M), _as_index("grid_size", grid_size, 1)
     best = None
     for i in range(1, grid_size + 1):
         zeta = i / (grid_size + 1)

@@ -18,10 +18,11 @@ from scipy import integrate, special
 
 import oracles
 from cogrelay import (Case, InvalidCase, SystemConfig, case1_outage,
-                      case2_outage, decoding_set_pmf, effective_gain,
+                      case2_outage, effective_gain,
                       outage_highsnr, outage_probability, snr_threshold,
                       substream)
 from cogrelay import analytic
+from cogrelay.channel import _binomial_pmf
 from oracles import (SeriesNotConverged, _case1_bracket, average_over_phi,
                      case1_outage_given_phi, case2_outage_given_phi,
                      case2_nu1_mp, outage_highsnr_direct, outage_mp)
@@ -95,7 +96,7 @@ def test_case1_given_phi_u_integral_oracle():
     for M, g, R in ((4, 50.0, 0.5), (6, 10.0, 1.0), (4, 10.0, 0.25)):
         cfg = _cfg(M=M, gamma_p=g, R=R)
         q = snr_threshold(2.0 * R) / g
-        pmf = decoding_set_pmf(cfg)
+        pmf = oracles.decoding_pmf(cfg)
         for phi in (0.05, 1.0, 40.0):
             ref = 0.0
             for K in range(2, M):
@@ -110,7 +111,7 @@ def test_case1_given_phi_u_integral_oracle():
 def test_case2_given_phi_formula():
     for M, g, R, z in ((4, 50.0, 0.5, 0.5), (6, 20.0, 0.7, 0.35)):
         cfg = _cfg(M=M, gamma_p=g, R=R, case="nodirect", zeta=z)
-        pmf = decoding_set_pmf(cfg)
+        pmf = oracles.decoding_pmf(cfg)
         for phi in (0.2, 1.0, 10.0):
             x = snr_threshold(R / (1.0 - z)) * (1.0 + phi) / g
             ref = sum(pmf[K] * special.gammainc(K - 1, x) for K in range(2, M))
@@ -359,7 +360,8 @@ def test_case2_outage_where_poisson_weight_underflows():
         assert abs(got - ref) <= 1e-12 * ref, (gamma_p, R, got, ref)
     # an infinite threshold leaves every A_n = 1 and no NaN
     cfg = _cfg(M=6, R=1.5, case="nodirect", zeta=0.999)
-    assert case2_outage(cfg).nu1 == sum(decoding_set_pmf(cfg)[2:])
+    pmf = _binomial_pmf(cfg.M - 1, cfg.thresholds()[0] / cfg.gamma_p)
+    assert case2_outage(cfg).nu1 == sum(pmf[2:])
 
 
 # ------------------------------------------------------------------ series term caps

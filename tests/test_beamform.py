@@ -90,6 +90,18 @@ def test_optimal_weights_rejects_bad_shapes(h_pd, h_sd):
         optimal_weights(h_pd, h_sd)
 
 
+@pytest.mark.parametrize("h_pd, h_sd", [
+    (["1", "2", "3"], ["1j", "0", "1"]),       # text: would parse to alpha 9.0
+    ([True, False, True], [1.0, 0.0, 1.0]),     # bools: would pass as 0/1
+    ([1.0, 0.0, 1.0], np.array([True, False, True])),
+    (np.array([1.0, 2.0, 3.0], dtype=object), [1.0, 0.0, 1.0]),
+])
+def test_optimal_weights_rejects_non_numeric_dtypes(h_pd, h_sd):
+    # channel entries are ints, floats or complex numbers, as every real input is
+    with pytest.raises(ValueError, match="channel entries must be finite ints"):
+        optimal_weights(h_pd, h_sd)
+
+
 def test_degenerate_channels_raise():
     with pytest.raises(DegenerateChannel):
         optimal_weights(np.array([1.0 + 0j, 2.0]), np.zeros(2, dtype=complex))

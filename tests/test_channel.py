@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cogrelay import (Case, SystemConfig, decode_mask, decoding_set_pmf,
-                      draw_realizations, snr_threshold, substream)
+from cogrelay import (Case, SystemConfig, decode_mask, draw_realizations,
+                      snr_threshold, substream)
 from cogrelay.channel import _binomial_pmf, _small_k_mass
 
 
@@ -167,9 +167,15 @@ def test_decode_mask_agrees_with_decoding_set():
     assert slot[0].tolist() == [cfg.gamma_p * x >= thr for x in e1[0, 1:5]]
 
 
+def _pmf(cfg):
+    """The decoding-set pmf as `outage_probability` builds it: Binomial(M-1, e^-q),
+    q = broadcast threshold/gamma_p."""
+    return np.array(_binomial_pmf(cfg.M - 1, cfg.thresholds()[0] / cfg.gamma_p))
+
+
 def test_pmf_is_binomial():
     cfg = _cfg(M=6, R=0.5)
-    pmf = decoding_set_pmf(cfg)
+    pmf = _pmf(cfg)
     L = math.exp(-snr_threshold(2.0 * cfg.R) / cfg.gamma_p)
     ref = stats.binom.pmf(np.arange(6), 5, L)
     assert pmf.shape == (6,)
@@ -180,7 +186,7 @@ def test_pmf_is_binomial():
 def test_pmf_no_direct_link_uses_broadcast_rate():
     cfg = SystemConfig(M=4, gamma_p=20.0, gamma_s=30.0, R=0.6,
                        case=Case.NO_DIRECT_LINK, zeta=0.3)
-    pmf = decoding_set_pmf(cfg)
+    pmf = _pmf(cfg)
     L = math.exp(-(2.0 ** (0.6 / 0.3) - 1.0) / 20.0)
     ref = stats.binom.pmf(np.arange(4), 3, L)
     assert np.allclose(pmf, ref, rtol=1e-12)
@@ -189,7 +195,7 @@ def test_pmf_no_direct_link_uses_broadcast_rate():
 def test_pmf_keeps_precision_at_tiny_threshold():
     # q = (2^rate - 1)/gamma_p = 1e-20: 1 - e^-q rounds to 0, -expm1(-q) = q
     cfg = SystemConfig(M=5, gamma_p=1e20, gamma_s=30.0, R=0.5)
-    pmf = decoding_set_pmf(cfg)
+    pmf = _pmf(cfg)
     assert math.isclose(pmf[3], 4 * 1e-20, rel_tol=1e-14)
     assert math.isclose(pmf[0], 1e-80, rel_tol=1e-14)
     assert pmf[4] == 1.0

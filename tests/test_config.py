@@ -1,4 +1,7 @@
+import contextlib
+import io
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +11,7 @@ from cogrelay import (Case, SystemConfig, analytic_dmt, draw_realizations, estim
                       estimate_schedule_throughput, max_lambda_k, outage_highsnr,
                       outage_probability, search_zeta, snr_threshold, solve_assignment,
                       substream)
+from cogrelay.cli import main
 
 
 def test_defaults():
@@ -144,25 +148,62 @@ def test_non_finite_and_non_integral_rejected(kwargs):
 _NODIRECT = SystemConfig(M=3, gamma_p=50.0, gamma_s=30.0, R=0.5, case="nodirect")
 
 
-@pytest.mark.parametrize("bad", [True, False])
-@pytest.mark.parametrize("name, call", [
-    ("M", lambda b: SystemConfig(M=b, gamma_p=50.0, gamma_s=30.0, R=0.5)),
-    ("k", lambda b: max_lambda_k(_NODIRECT, b)),
-    ("k", lambda b: solve_assignment(_NODIRECT, b)),
-    ("k", lambda b: search_zeta(_NODIRECT, b)),
-    ("grid_size", lambda b: search_zeta(_NODIRECT, 0, grid_size=b)),
-    ("trials", lambda b: estimate_outage(_NODIRECT, b)),
-    ("seed", lambda b: estimate_outage(_NODIRECT, 10, seed=b)),
-    ("workers", lambda b: estimate_outage(_NODIRECT, 10, workers=b)),
-    ("trials", lambda b: estimate_schedule_throughput(_NODIRECT, (0.2, 0.3, 0.5), b)),
-    ("num_points", lambda b: analytic_dmt(_NODIRECT, num_points=b)),
-    ("index", lambda b: substream(0, b)),
-    ("n", lambda b: draw_realizations(_NODIRECT, b, substream(0, 0))),
-])
+def _cli(key):
+    """call(x) running the CLI with `--key x` on a small qos-sweep (M = 3): returns
+    on exit 0 and raises ValueError with the one `cogrelay:` line of an exit 2."""
+    def call(x):
+        if type(x) is bool:
+            pytest.skip("the CLI reads text, so no bool reaches its checks")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["--experiment", "qos-sweep", "--M", "3", "--n_points", "2",
+                         f"--{key}", str(x), "--out", os.devnull])
+        lines = err.getvalue().splitlines()
+        if code == 2 and len(lines) == 1 and lines[0].startswith("cogrelay: "):
+            raise ValueError(lines[0])
+        assert (code, lines) == (0, []), (code, lines)
+    return call
+
+
+# name, call, lo, hi: call(x) takes exactly the integers in [lo, hi) (hi None: no bound)
+_INTEGER_ARGS = [
+    ("M", lambda b: SystemConfig(M=b, gamma_p=50.0, gamma_s=30.0, R=0.5), 2, 1025),
+    ("k", lambda b: max_lambda_k(_NODIRECT, b), 0, 3),
+    ("k", lambda b: solve_assignment(_NODIRECT, b), 0, 3),
+    ("k", lambda b: search_zeta(_NODIRECT, b), 0, 3),
+    ("grid_size", lambda b: search_zeta(_NODIRECT, 0, grid_size=b), 1, None),
+    ("trials", lambda b: estimate_outage(_NODIRECT, b), 1, None),
+    ("seed", lambda b: estimate_outage(_NODIRECT, 10, seed=b), 0, 2**128),
+    ("workers", lambda b: estimate_outage(_NODIRECT, 10, workers=b), 1, None),
+    ("trials", lambda b: estimate_schedule_throughput(_NODIRECT, (0.2, 0.3, 0.5), b), 1, None),
+    ("num_points", lambda b: analytic_dmt(_NODIRECT, num_points=b), 2, None),
+    ("index", lambda b: substream(0, b), 0, 2**128),
+    ("n", lambda b: draw_realizations(_NODIRECT, b, substream(0, 0)), 0, None),
+    # the CLI's own bounds; k counts users from 1 there
+    ("--trials", _cli("trials"), 1, None),
+    ("--workers", _cli("workers"), 1, None),
+    ("--seed", _cli("seed"), 0, 2**64),
+    ("n_points", _cli("n_points"), 2, None),
+    ("k", _cli("k"), 1, 4),
+]
+
+
+@pytest.mark.parametrize("bad", [True, False, "outside", "inside"])
+@pytest.mark.parametrize("name, call", [row[:2] for row in _INTEGER_ARGS])
 def test_integer_arguments_reject_bools(name, call, bad):
-    # a bool is no count or index, although operator.index(True) is 1
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
-        call(bad)
+    # a bool is no count or index, although operator.index(True) is 1; an integer
+    # passes exactly in [lo, hi), and the rejection names the argument
+    lo, hi = next(row[2:] for row in _INTEGER_ARGS if row[1] is call)
+    if bad == "inside":
+        for x in (lo, hi - 1) if hi is not None else (lo,):
+            call(x)
+    elif bad == "outside":
+        for x in (lo - 1, hi) if hi is not None else (lo - 1,):
+            with pytest.raises(ValueError, match=f"{name} must (be >=|lie in)"):
+                call(x)
+    else:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            call(bad)
 
 
 def test_numpy_integer_m_accepted():

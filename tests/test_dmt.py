@@ -161,6 +161,23 @@ def test_degenerate_fit():
         empirical_diversity(_cfg(M=2), 0.0, [2.0, 3.0, 1e300, np.nextafter(1e300, math.inf)])
 
 
+def test_fit_evaluates_only_the_points_it_fits(monkeypatch):
+    # a 7-point grid fits its top 4 points, and only those reach the closed form
+    gammas = []
+    monkeypatch.setattr(dmt, "outage_probability",
+                        lambda c: gammas.append(c.gamma_p) or outage_probability(c))
+    grid = np.logspace(2, 5, 7)
+    for r in (0.0, 0.25):
+        gammas.clear()
+        empirical_diversity(_cfg(), r, grid)
+        assert gammas == list(grid[3:])
+    # so neither a zero outage (R = r log2(1) = 0) nor a negative rate (gamma
+    # below 1) under the fitted half stops the fit, nor changes its bits
+    for low in (1.0, 0.5):
+        assert (empirical_diversity(_cfg(), 0.1, [low, 10.0, 1e2, 1e3])
+                == empirical_diversity(_cfg(), 0.1, [2.0, 10.0, 1e2, 1e3]))
+
+
 def _no_draws(*args, **kwargs):
     raise AssertionError("estimate_outage was called")
 
@@ -197,5 +214,5 @@ def test_monte_carlo_fit_checks_last_key_before_drawing(monkeypatch):
             empirical_diversity(_cfg(M=3), 0.0, grid, source="monte_carlo", seed=seed)
     assert keys == []
     d = empirical_diversity(_cfg(M=3), 0.0, grid, source="monte_carlo", seed=2**128 - 3)
-    assert keys == [2**128 - 3, 2**128 - 2, 2**128 - 1]
+    assert keys == [2**128 - 2, 2**128 - 1]     # only the fitted points 1 and 2 are drawn
     assert d == empirical_diversity(_cfg(M=3), 0.0, grid)

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 import cogrelay.qos
 from cogrelay import (InvalidCase, PrimaryInfeasible, SecondaryInfeasible,
-                      SystemConfig, decoding_set_pmf, max_lambda_k,
+                      SystemConfig, max_lambda_k,
                       outage_probability, search_zeta, secondary_success_prob,
                       solve_assignment)
 from cogrelay.analytic import _nu_small_k
+from cogrelay.channel import _binomial_pmf
 from cogrelay.config import _split_threshold, snr_threshold
 from cogrelay.qos import QosSolution, _solve
 from oracles import decoding_q, search_zeta_exhaustive
@@ -28,9 +29,9 @@ def _preset(M, R, case="direct", zeta=0.5):
 
 def _nu2_checked(cfg):
     """nu2 of a no-direct-link config through `_nu_small_k`, checked bit for bit
-    against pmf[0] + pmf[1] of `decoding_set_pmf` (1 at M = 2, where K < 2 surely)."""
+    against pmf[0] + pmf[1] of `_binomial_pmf` (1 at M = 2, where K < 2 surely)."""
     nu2 = _nu_small_k(cfg, decoding_q(cfg))
-    pmf = decoding_set_pmf(cfg)
+    pmf = _binomial_pmf(cfg.M - 1, cfg.thresholds()[0] / cfg.gamma_p)
     assert nu2 == (pmf[0] + pmf[1] if cfg.M > 2 else 1.0), cfg
     return nu2
 

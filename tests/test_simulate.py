@@ -8,15 +8,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cogrelay import (BLOCK_SLOTS, SystemConfig, decoding_set_pmf,
-                      draw_realizations, estimate_outage,
+from cogrelay import (BLOCK_SLOTS, SystemConfig, draw_realizations, estimate_outage,
                       estimate_schedule_throughput, outage_probability,
                       secondary_success_prob, solve_assignment, substream)
 from cogrelay import simulate
 from cogrelay.channel import _draw_chunks
 from cogrelay.simulate import _blocks
 
-from oracles import outage_block_ref, schedule_block_ref
+from oracles import decoding_pmf, outage_block_ref, schedule_block_ref
 
 
 def _cfg(case="direct", M=4, R=0.5, gamma_p=50.0):
@@ -265,7 +264,7 @@ def test_k_histogram_matches_pmf():
     cfg = _cfg(M=5, R=0.8, gamma_p=20.0)
     n = 300_000
     est = estimate_outage(cfg, n, seed=31)
-    pmf = decoding_set_pmf(cfg)
+    pmf = decoding_pmf(cfg)
     for k in range(5):
         se = math.sqrt(max(pmf[k] * (1 - pmf[k]), 1e-12) / n)
         assert abs(est.k_counts[k] / n - pmf[k]) <= 4.5 * se, k
