@@ -1,28 +1,30 @@
 """Experiment driver.
 
 Usage:
-    cogrelay --experiment outage-curve --config sweep.cfg --out curve.csv
-    cogrelay --experiment validate --trials 200000 --seed 7 --workers 4 --out v.csv
-    cogrelay --experiment qos-sweep --M 5 --lambda_s 0,0.1,0.2,0.1,0.15 --out q.csv
+    cogrelay --experiment <name> [--config file.cfg] [--out file.csv] [--<key> <value> ...]
+    cogrelay --help
+    e.g. cogrelay --experiment validate --trials 200000 --seed 7 --workers 4 --out v.csv
 
-Every config key and its default live in one table, `_DEFAULTS`; a value
-parses as the type of its default (`lambda_s` is a comma-separated list).
-Config files are flat `key = value` lines; `#` starts a comment.  Any key can
-also be overridden on the command line as `--key value`, which wins over the
-file.  Every CSV starts with a `#` stamp line recording the resolved keys (for
-the fixed-preset `fig1`, `fig2` and `validate`, only those they read), the
-seed and trial count (but not workers or output path), so a byte-identical
-file certifies a reproduced run.  `qos-sweep`, `fig1` and both `fig2` modes
-write the same QoS columns, one `QosSolution` per operating point, feasible
-or not, from one call of the QoS solver (`qos._solve(...)[0]`, or `search_zeta`).
+Experiments: outage-curve, validate, dmt, qos-sweep, fig1, fig2; the output
+defaults to <experiment>.csv.  Every config key (`trials`, `seed` and
+`workers` among them) and its default live in one table, `_DEFAULTS`; a
+value parses as the type of its default (`lambda_s` is a comma-separated
+list).  A config file holds flat `key = value` lines (`#` starts a comment);
+an argument `--key value`, the only form read, wins over the file.  Every CSV
+starts with a `#` stamp line recording the resolved keys (for the
+fixed-preset `fig1`, `fig2` and `validate`, only those they read, with seed
+and trials) but not workers or the output path: a byte-identical file
+certifies a reproduced run, and each stamp entry but `experiment` is a
+config line.  `qos-sweep`, `fig1` and both `fig2` modes write the same QoS
+columns, one `QosSolution` per operating point, feasible or not, from one
+call of the QoS solver (`qos._solve(...)[0]`, or `search_zeta`).
 
-Exit codes: 0 success, 1 validation failure (some |z| > 4), 2 bad config,
-3 library error (a numerical or model failure such as an unfittable DMT
-curve; one `cogrelay: ...` line on stderr, no traceback).
+Exit codes: 0 success, 1 validation failure (some |z| > 4), 2 bad argument
+or config, 3 library error (a numerical or model failure such as an
+unfittable DMT curve); 2 and 3 print one `cogrelay: ...` line on stderr.
 """
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -64,6 +66,9 @@ _DEFAULTS = {
     "R_max": 1.5,
     "n_points": 31,
     "dmt_source": DiversitySource.CLOSED_FORM,
+    "trials": 100_000,       # Monte Carlo slots per point
+    "seed": 0,
+    "workers": 1,            # the one key no stamp records
 }
 
 
@@ -71,9 +76,6 @@ _DEFAULTS = {
 class ExperimentSpec:
     name: str
     cfg: SystemConfig
-    trials: int
-    seed: int
-    workers: int
     output_path: str
 
 
@@ -95,7 +97,7 @@ def parse_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from None
     out = {}
     for lineno, line in enumerate(lines, start=1):
@@ -120,8 +122,7 @@ def _fmt(value) -> str:
 
 
 def _stamp(spec: ExperimentSpec, values: dict, keys: tuple) -> str:
-    entries = {**{k: values[k] for k in keys},
-               "experiment": spec.name, "seed": spec.seed, "trials": spec.trials}
+    entries = {**{k: values[k] for k in keys}, "experiment": spec.name}
     return "# " + " ".join(f"{k}={_fmt(entries[k])}" for k in sorted(entries))
 
 
@@ -167,7 +168,7 @@ _VALIDATE_ZETA = (0.4, 0.5, 0.6)
 
 
 def _run_validate(spec: ExperimentSpec, values: dict, lines: list) -> int:
-    case = spec.cfg.case
+    case, trials = spec.cfg.case, values["trials"]
     zetas = _VALIDATE_ZETA if case is Case.NO_DIRECT_LINK else (spec.cfg.zeta,)
     lines.append("case,M,gamma_p,gamma_s,R,zeta,nu_closed,p_hat,stderr,z_score")
     worst = 0.0
@@ -175,12 +176,12 @@ def _run_validate(spec: ExperimentSpec, values: dict, lines: list) -> int:
     for row, (M, g, R, z) in enumerate(grid):
         cfg_i = SystemConfig(M=M, gamma_p=g, gamma_s=30.0, R=R, case=case, zeta=z)
         nu = outage_probability(cfg_i).nu
-        est = estimate_outage(cfg_i, spec.trials, seed=spec.seed + row,
-                              workers=spec.workers).primary
+        est = estimate_outage(cfg_i, trials, seed=values["seed"] + row,
+                              workers=values["workers"]).primary
         # test the sample against the closed form, so the stderr comes from
         # nu itself (the empirical one is degenerate whenever the observed
         # count is 0)
-        stderr = sqrt(nu * (1.0 - nu) / spec.trials)
+        stderr = sqrt(nu * (1.0 - nu) / trials)
         if stderr > 0.0:
             zscore = (est.p_hat - nu) / stderr
         else:
@@ -204,7 +205,7 @@ def _run_dmt(spec: ExperimentSpec, values: dict, lines: list) -> int:
     # the empirical fit needs r < r_max, so the curve's last point is dropped
     for i, (r, d_a) in enumerate(analytic_dmt(spec.cfg, n + 1).points[:-1]):
         d_e = empirical_diversity(spec.cfg, r, grid, source=source,
-                                  seed=spec.seed + i, workers=spec.workers)
+                                  seed=values["seed"] + i, workers=values["workers"])
         lines.append(f"{_fmt(r)},{_fmt(d_a)},{_fmt(d_e)}")
     return 0
 
@@ -238,14 +239,15 @@ def _run_fig2(spec: ExperimentSpec, values: dict, lines: list) -> int:
     return 0
 
 
-# each experiment's runner and the keys its stamp records: every key, or only
-# the few that a fixed-preset experiment reads
-_RATE_KEYS = ("R_min", "R_max", "n_points")
+# each experiment's runner and the keys its stamp records: every key but
+# workers, or only the few that a fixed-preset experiment reads
+_ALL_KEYS = tuple(k for k in _DEFAULTS if k != "workers")
+_RATE_KEYS = ("R_min", "R_max", "n_points", "seed", "trials")
 _RUNNERS = {
-    "outage-curve": (_run_outage_curve, tuple(_DEFAULTS)),
-    "validate": (_run_validate, ("case", "zeta")),
-    "dmt": (_run_dmt, tuple(_DEFAULTS)),
-    "qos-sweep": (_run_qos_sweep, tuple(_DEFAULTS)),
+    "outage-curve": (_run_outage_curve, _ALL_KEYS),
+    "validate": (_run_validate, ("case", "zeta", "seed", "trials")),
+    "dmt": (_run_dmt, _ALL_KEYS),
+    "qos-sweep": (_run_qos_sweep, _ALL_KEYS),
     "fig1": (_run_fig1, _RATE_KEYS),
     "fig2": (_run_fig2, _RATE_KEYS),
 }
@@ -269,36 +271,33 @@ def run_experiment(spec: ExperimentSpec, values: dict) -> int:
 
 
 def build_spec(argv=None):
-    """Parse argv into (ExperimentSpec, resolved-config dict)."""
-    parser = argparse.ArgumentParser(
-        prog="cogrelay",
-        description="Cooperative-relaying outage, DMT and QoS experiments.",
-    )
-    parser.add_argument("--experiment", required=True, choices=list(_RUNNERS))
-    parser.add_argument("--config", default=None, help="flat key=value config file")
-    parser.add_argument("--trials", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--out", default=None, help="output CSV (default <experiment>.csv)")
-    args, extras = parser.parse_known_args(argv)
-
-    values = dict(_DEFAULTS)
-    if args.config is not None:
-        values.update(parse_config_file(args.config))
-    for i in range(0, len(extras), 2):
-        tok = extras[i]
+    """Parse argv, `--key value` pairs only, into (ExperimentSpec, resolved-config dict)."""
+    argv = sys.argv[1:] if argv is None else argv
+    opts, given = {}, {}     # command-line-only options; config-key overrides
+    for i in range(0, len(argv), 2):
+        tok = argv[i]
         if not tok.startswith("--") or len(tok) == 2:
-            raise ConfigError(f"unexpected argument {tok!r}; overrides look like --key value")
-        if i + 1 == len(extras):
+            raise ConfigError(f"unexpected argument {tok!r}; arguments look like --key value")
+        if i + 1 == len(argv):
             raise ConfigError(f"missing value for '{tok}'")
-        _set(values, tok[2:], extras[i + 1], tok)
+        if tok[2:] in ("experiment", "config", "out"):
+            opts[tok[2:]] = argv[i + 1]
+        else:
+            _set(given, tok[2:], argv[i + 1], tok)
+    name = opts.get("experiment")
+    if name not in _RUNNERS:
+        raise ConfigError(f"--experiment must be one of {', '.join(_RUNNERS)}; got {name!r}")
+    values = dict(_DEFAULTS)
+    if "config" in opts:
+        values.update(parse_config_file(opts["config"]))
+    values.update(given)
 
     cfg_args = {f.name: values[f.name] for f in fields(SystemConfig)}
     cfg_args["lambda_s"] = values["lambda_s"] or None
     try:
-        _as_index("--trials", args.trials, 1)
-        _as_index("--workers", args.workers, 1)
-        _as_index("--seed", args.seed, 0, 2**64)
+        _as_index("trials", values["trials"], 1)
+        _as_index("workers", values["workers"], 1)
+        _as_index("seed", values["seed"], 0, 2**64)
         cfg = SystemConfig(**cfg_args)
         _as_index("n_points", values["n_points"], 2)
         _as_index("k", values["k"], 1, cfg.M + 1)    # 1-based at the CLI
@@ -310,18 +309,14 @@ def build_spec(argv=None):
         raise ConfigError("need 0 < gamma_min < gamma_max")
     if values["R_max"] < values["R_min"] or values["R_min"] < 0:
         raise ConfigError("need 0 <= R_min <= R_max")
-    spec = ExperimentSpec(
-        name=args.experiment,
-        cfg=cfg,
-        trials=args.trials,
-        seed=args.seed,
-        workers=args.workers,
-        output_path=args.out if args.out is not None else f"{args.experiment}.csv",
-    )
-    return spec, values
+    return ExperimentSpec(name, cfg, opts.get("out", f"{name}.csv")), values
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(__doc__)
+        return 0
     try:
         spec, values = build_spec(argv)
         return run_experiment(spec, values)

@@ -72,6 +72,12 @@ def test_config_file_diagnostics(tmp_path):
         parse_config_file(str(p3))
     assert "gamma_p" in str(ei.value)
 
+    p4 = tmp_path / "bad4.cfg"     # not UTF-8: was a UnicodeDecodeError traceback, exit 1
+    p4.write_bytes(b"M = 4\xff\n")
+    with pytest.raises(ConfigError) as ei:
+        parse_config_file(str(p4))
+    assert str(p4) in str(ei.value)
+
 
 @pytest.mark.parametrize("args", [
     ["--experiment", "outage-curve", "--M", "not_int"],
@@ -88,11 +94,33 @@ def test_config_file_diagnostics(tmp_path):
     ["--experiment", "outage-curve", "--case", "nodirect", "--M", "1025"],
     ["--experiment", "validate", "--seed", "-1"],              # was a numpy traceback, exit 1
     ["--experiment", "validate", "--seed", str(2**64)],
+    [],                                                      # no --experiment
+    ["--experiment", "nosuch"],
+    ["--experiment", "outage-curve", "--trials", "abc"],
+    ["--experiment", "validate", "--seed", "1.5"],
+    ["--experiment", "validate", "--workers", "two"],
+    ["--experiment", "outage-curve", "--M=3"],               # only --key value is read
+    ["--experiment", "validate", "--config", "trials0.cfg"],
+    ["--experiment", "validate", "--config", "latin1.cfg"],  # not UTF-8
 ])
-def test_bad_inputs_exit_2(args, tmp_path, capsys):
+def test_bad_inputs_exit_2(args, tmp_path, capsys, monkeypatch):
+    # main returns 2, raising nothing, with one `cogrelay:` line on stderr
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "trials0.cfg").write_text("trials = 0\n")
+    (tmp_path / "latin1.cfg").write_bytes(b"M = 4\xff\n")
     code = main([*args, "--out", str(tmp_path / "x.csv")])
     assert code == 2
-    assert "cogrelay:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("cogrelay: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_exits_0_and_names_the_experiments(flag, capsys):
+    assert main([flag]) == 0
+    out = capsys.readouterr().out
+    assert "Usage:" in out
+    assert all(name in out for name in
+               ("outage-curve", "validate", "dmt", "qos-sweep", "fig1", "fig2"))
 
 
 @pytest.mark.parametrize("case", ["direct", "nodirect"])
@@ -184,12 +212,12 @@ def test_stamp_reproduces_its_run(args, tmp_path):
     code, text = _run(tmp_path, *args)
     assert code == 0
     stamp = dict(item.split("=", 1) for item in text.splitlines()[0][2:].split(" "))
-    run = ["--experiment", stamp.pop("experiment"), "--seed", stamp.pop("seed"),
-           "--trials", stamp.pop("trials")]
+    experiment = stamp.pop("experiment")
+    # every other stamp entry is a config line; workers changes no byte
     cfg = tmp_path / "stamp.cfg"
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in stamp.items()))
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in stamp.items()) + "workers = 2\n")
     rerun = tmp_path / "rerun.csv"
-    assert main([*run, "--config", str(cfg), "--out", str(rerun)]) == code
+    assert main(["--experiment", experiment, "--config", str(cfg), "--out", str(rerun)]) == code
     assert rerun.read_bytes() == (tmp_path / "out.csv").read_bytes()
 
 

@@ -180,9 +180,9 @@ _INTEGER_ARGS = [
     ("index", lambda b: substream(0, b), 0, 2**128),
     ("n", lambda b: draw_realizations(_NODIRECT, b, substream(0, 0)), 0, None),
     # the CLI's own bounds; k counts users from 1 there
-    ("--trials", _cli("trials"), 1, None),
-    ("--workers", _cli("workers"), 1, None),
-    ("--seed", _cli("seed"), 0, 2**64),
+    ("trials", _cli("trials"), 1, None),
+    ("workers", _cli("workers"), 1, None),
+    ("seed", _cli("seed"), 0, 2**64),
     ("n_points", _cli("n_points"), 2, None),
     ("k", _cli("k"), 1, 4),
 ]
