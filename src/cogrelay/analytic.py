@@ -33,9 +33,10 @@ values for n >= 99 and a > 0.9.
 
 The Gamma(n, 1) beamforming gain enters both through Poisson terms: the pmf
 and the tails P(n, x) = Pr{Poisson(x) >= n}, the regularized incomplete
-gamma at integer order.  One routine, `_poisson`, gives both closed forms all
-of them from finite sums of positive terms, with no scipy.  One kernel, `_nu1`,
-feeds either the float pmf `channel._binomial_pmf`, for `search_zeta` too.
+gamma at integer order.  One routine, `_poisson`, gives both closed forms
+their Poisson pmf and tails as finite sums of positive terms, with no scipy.
+One kernel, `_nu1`, fed the relay-count pmf by `channel._binomial_pmf`, gives
+nu1 to both `outage_probability` and `qos.search_zeta`.
 """
 from __future__ import annotations
 
@@ -83,10 +84,10 @@ def _clip_unit(x: float) -> float:
 def _breakdown(nu1: float, nu2: float) -> OutageBreakdown:
     total = nu1 + nu2
     # each part, like their sum, can round a few ulp past 1
-    nu = min(max(total, 0.0), 1.0)
+    nu = _clip_unit(total)
     if nu != total:
         _log.debug("clipped nu1+nu2 = %r to %r", total, nu)
-    return OutageBreakdown(nu1=min(max(nu1, 0.0), 1.0), nu2=min(max(nu2, 0.0), 1.0), nu=nu)
+    return OutageBreakdown(nu1=_clip_unit(nu1), nu2=_clip_unit(nu2), nu=nu)
 
 
 def _log_poisson_pmf(j: int, x: float) -> float:

@@ -1,27 +1,9 @@
-"""Experiment driver.
+"""Experiment driver: `--key value` arguments in, one stamped CSV out.
 
-Usage:
-    cogrelay --experiment <name> [--config file.cfg] [--out file.csv] [--<key> <value> ...]
-    cogrelay --help
-    e.g. cogrelay --experiment validate --trials 200000 --seed 7 --workers 4 --out v.csv
-
-Experiments: outage-curve, validate, dmt, qos-sweep, fig1, fig2; the output
-defaults to <experiment>.csv.  Every config key (`trials`, `seed` and
-`workers` among them) and its default live in one table, `_DEFAULTS`; a
-value parses as the type of its default (`lambda_s` is a comma-separated
-list).  A config file holds flat `key = value` lines (`#` starts a comment);
-an argument `--key value`, the only form read, wins over the file.  Every CSV
-starts with a `#` stamp line recording the resolved keys (for the
-fixed-preset `fig1`, `fig2` and `validate`, only those they read, with seed
-and trials) but not workers or the output path: a byte-identical file
-certifies a reproduced run, and each stamp entry but `experiment` is a
-config line.  `qos-sweep`, `fig1` and both `fig2` modes write the same QoS
-columns, one `QosSolution` per operating point, feasible or not, from one
-call of the QoS solver (`qos._solve(...)[0]`, or `search_zeta`).
-
-Exit codes: 0 success, 1 validation failure (some |z| > 4), 2 bad argument
-or config, 3 library error (a numerical or model failure such as an
-unfittable DMT curve); 2 and 3 print one `cogrelay: ...` line on stderr.
+Each experiment is a generator of plain value tuples, one per CSV row;
+`_RUNNERS` gives its header and the keys its stamp records, and
+`run_experiment` alone formats the cells, writes the file and picks the exit
+code.  `_USAGE` is the `--help` text.
 """
 from __future__ import annotations
 
@@ -29,7 +11,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from itertools import product
-from math import inf, isfinite, nan, sqrt
+from math import inf, isfinite, sqrt
 
 import numpy as np
 
@@ -43,6 +25,10 @@ from .simulate import estimate_outage
 
 class ConfigError(Exception):
     """Bad key, value, or combination in a config file or CLI override."""
+
+
+class _HelpRequested(Exception):
+    """`-h` or `--help` stood where an option name goes."""
 
 
 # the library's own failures, reported with exit code 3
@@ -111,13 +97,14 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def _fmt(value) -> str:
+def _fmt(value, sep: str = ",") -> str:
+    """One stamp entry or CSV cell; a tuple's items are joined by sep."""
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, float):
         return repr(float(value))
     if isinstance(value, tuple):
-        return ",".join(_fmt(v) for v in value)
+        return sep.join(_fmt(v) for v in value)
     return str(value)
 
 
@@ -129,9 +116,8 @@ def _stamp(spec: ExperimentSpec, values: dict, keys: tuple) -> str:
 _QOS_HEADER = "lambda_k_max,feasible,omega,zeta"
 
 
-def _qos_cols(sol: QosSolution) -> str:
-    omega = ";".join(_fmt(w) for w in sol.omega)
-    return f"{_fmt(sol.lambda_k_max)},{_fmt(sol.feasible)},{omega},{_fmt(sol.zeta)}"
+def _qos_cols(sol: QosSolution) -> tuple:
+    return sol.lambda_k_max, sol.feasible, sol.omega, sol.zeta
 
 
 def _rates(values: dict) -> list:
@@ -146,16 +132,11 @@ def _fig_cfg(M: int, R: float, case: Case) -> SystemConfig:
                         lambda_s=(0.0, 0.1, 0.2, 0.1, 0.15, 0.1)[:M])
 
 
-def _run_outage_curve(spec: ExperimentSpec, values: dict, lines: list) -> int:
-    gammas = np.logspace(np.log10(values["gamma_min"]), np.log10(values["gamma_max"]),
-                         values["n_points"])
-    lines.append("gamma,nu_closed,nu_highsnr")
-    for g in gammas:
-        cfg_i = replace(spec.cfg, gamma_p=float(g))
-        nu = outage_probability(cfg_i).nu
-        hs = outage_highsnr(cfg_i)
-        lines.append(f"{_fmt(float(g))},{_fmt(nu)},{_fmt(hs)}")
-    return 0
+def _outage_curve(cfg: SystemConfig, values: dict):
+    for g in np.logspace(np.log10(values["gamma_min"]), np.log10(values["gamma_max"]),
+                         values["n_points"]):
+        cfg_i = replace(cfg, gamma_p=float(g))
+        yield float(g), outage_probability(cfg_i).nu, outage_highsnr(cfg_i)
 
 
 # closed forms are validated on a fixed stress grid rather than at the single
@@ -167,14 +148,12 @@ _VALIDATE_R = (0.25, 0.5, 1.0)
 _VALIDATE_ZETA = (0.4, 0.5, 0.6)
 
 
-def _run_validate(spec: ExperimentSpec, values: dict, lines: list) -> int:
-    case, trials = spec.cfg.case, values["trials"]
-    zetas = _VALIDATE_ZETA if case is Case.NO_DIRECT_LINK else (spec.cfg.zeta,)
-    lines.append("case,M,gamma_p,gamma_s,R,zeta,nu_closed,p_hat,stderr,z_score")
-    worst = 0.0
+def _validate(cfg: SystemConfig, values: dict):
+    trials = values["trials"]
+    zetas = _VALIDATE_ZETA if cfg.case is Case.NO_DIRECT_LINK else (cfg.zeta,)
     grid = product(_VALIDATE_M, _VALIDATE_GAMMA, _VALIDATE_R, zetas)
     for row, (M, g, R, z) in enumerate(grid):
-        cfg_i = SystemConfig(M=M, gamma_p=g, gamma_s=30.0, R=R, case=case, zeta=z)
+        cfg_i = SystemConfig(M=M, gamma_p=g, gamma_s=30.0, R=R, case=cfg.case, zeta=z)
         nu = outage_probability(cfg_i).nu
         est = estimate_outage(cfg_i, trials, seed=values["seed"] + row,
                               workers=values["workers"]).primary
@@ -186,96 +165,107 @@ def _run_validate(spec: ExperimentSpec, values: dict, lines: list) -> int:
             zscore = (est.p_hat - nu) / stderr
         else:
             zscore = 0.0 if est.p_hat == nu else inf
-        worst = max(worst, abs(zscore))
-        lines.append(",".join([
-            case.value, str(M), _fmt(g), _fmt(30.0), _fmt(R), _fmt(z),
-            _fmt(nu), _fmt(est.p_hat), _fmt(stderr), _fmt(zscore),
-        ]))
-    return 1 if worst > 4.0 else 0
+        yield cfg.case, M, g, 30.0, R, z, nu, est.p_hat, stderr, zscore
 
 
-def _run_dmt(spec: ExperimentSpec, values: dict, lines: list) -> int:
-    n = values["n_points"]
+def _dmt(cfg: SystemConfig, values: dict):
     source = values["dmt_source"]
-    if source is DiversitySource.MONTE_CARLO:
-        grid = np.logspace(2, 4, 7)
-    else:
-        grid = np.logspace(2, 5, 7)
-    lines.append("r,d_analytic,d_empirical")
+    grid = np.logspace(2, 4 if source is DiversitySource.MONTE_CARLO else 5, 7)
     # the empirical fit needs r < r_max, so the curve's last point is dropped
-    for i, (r, d_a) in enumerate(analytic_dmt(spec.cfg, n + 1).points[:-1]):
-        d_e = empirical_diversity(spec.cfg, r, grid, source=source,
-                                  seed=values["seed"] + i, workers=values["workers"])
-        lines.append(f"{_fmt(r)},{_fmt(d_a)},{_fmt(d_e)}")
-    return 0
+    for i, (r, d_a) in enumerate(analytic_dmt(cfg, values["n_points"] + 1).points[:-1]):
+        yield r, d_a, empirical_diversity(cfg, r, grid, source=source,
+                                          seed=values["seed"] + i, workers=values["workers"])
 
 
-def _run_qos_sweep(spec: ExperimentSpec, values: dict, lines: list) -> int:
-    lines.append("R," + _QOS_HEADER)
+def _qos_sweep(cfg: SystemConfig, values: dict):
     for R in _rates(values):
-        sol = _solve(replace(spec.cfg, R=R), values["k"] - 1)[0]
-        lines.append(f"{_fmt(R)},{_qos_cols(sol)}")
-    return 0
+        yield (R, *_qos_cols(_solve(replace(cfg, R=R), values["k"] - 1)[0]))
 
 
-def _run_fig1(spec: ExperimentSpec, values: dict, lines: list) -> int:
-    lines.append("M,R," + _QOS_HEADER)
-    for M in (4, 5, 6):
-        for R in _rates(values):
-            sol = _solve(_fig_cfg(M, R, Case.DIRECT_LINK), 0)[0]
-            lines.append(f"{M},{_fmt(R)},{_qos_cols(sol)}")
-    return 0
+def _fig1(cfg: SystemConfig, values: dict):
+    for M, R in product((4, 5, 6), _rates(values)):
+        yield (M, R, *_qos_cols(_solve(_fig_cfg(M, R, Case.DIRECT_LINK), 0)[0]))
 
 
-def _run_fig2(spec: ExperimentSpec, values: dict, lines: list) -> int:
-    lines.append("M,R,zeta_mode," + _QOS_HEADER)
-    for M in (4, 5, 6):
-        for R in _rates(values):
-            sol = search_zeta(_fig_cfg(M, R, Case.NO_DIRECT_LINK), 0)
-            lines.append(f"{M},{_fmt(R)},best,{_qos_cols(sol)}")
+def _fig2(cfg: SystemConfig, values: dict):
+    for M, R in product((4, 5, 6), _rates(values)):
+        yield (M, R, "best", *_qos_cols(search_zeta(_fig_cfg(M, R, Case.NO_DIRECT_LINK), 0)))
     for R in _rates(values):   # fixed even split shown for the largest network
-        sol = _solve(_fig_cfg(6, R, Case.NO_DIRECT_LINK), 0)[0]
-        lines.append(f"6,{_fmt(R)},half,{_qos_cols(sol)}")
-    return 0
+        yield (6, R, "half", *_qos_cols(_solve(_fig_cfg(6, R, Case.NO_DIRECT_LINK), 0)[0]))
 
 
-# each experiment's runner and the keys its stamp records: every key but
-# workers, or only the few that a fixed-preset experiment reads
+# each experiment's rows, CSV header and the keys its stamp records: every key
+# but workers, or only the few that a fixed-preset experiment reads
 _ALL_KEYS = tuple(k for k in _DEFAULTS if k != "workers")
 _RATE_KEYS = ("R_min", "R_max", "n_points", "seed", "trials")
 _RUNNERS = {
-    "outage-curve": (_run_outage_curve, _ALL_KEYS),
-    "validate": (_run_validate, ("case", "zeta", "seed", "trials")),
-    "dmt": (_run_dmt, _ALL_KEYS),
-    "qos-sweep": (_run_qos_sweep, _ALL_KEYS),
-    "fig1": (_run_fig1, _RATE_KEYS),
-    "fig2": (_run_fig2, _RATE_KEYS),
+    "outage-curve": (_outage_curve, "gamma,nu_closed,nu_highsnr", _ALL_KEYS),
+    "validate": (_validate, "case,M,gamma_p,gamma_s,R,zeta,nu_closed,p_hat,stderr,z_score",
+                 ("case", "zeta", "seed", "trials")),
+    "dmt": (_dmt, "r,d_analytic,d_empirical", _ALL_KEYS),
+    "qos-sweep": (_qos_sweep, "R," + _QOS_HEADER, _ALL_KEYS),
+    "fig1": (_fig1, "M,R," + _QOS_HEADER, _RATE_KEYS),
+    "fig2": (_fig2, "M,R,zeta_mode," + _QOS_HEADER, _RATE_KEYS),
 }
+
+
+_USAGE = f"""Usage:
+    cogrelay --experiment <name> [--config file.cfg] [--out file.csv] [--<key> <value> ...]
+    cogrelay --help
+    e.g. cogrelay --experiment validate --trials 200000 --seed 7 --workers 4 --out v.csv
+
+Experiments: {", ".join(_RUNNERS)}; the output defaults to
+<experiment>.csv.  Every config key (`trials`, `seed` and `workers` among
+them) and its default live in one table, `_DEFAULTS`; a value parses as the
+type of its default (`lambda_s` is a comma-separated list).  A config file
+holds flat `key = value` lines (`#` starts a comment); an argument
+`--key value`, the only form read, wins over the file.  `-h` or `--help` in
+place of an option name prints this text.  Every CSV starts with a `#` stamp
+line recording the resolved keys (for the fixed-preset `fig1`, `fig2` and
+`validate`, only those they read, with seed and trials) but not workers or
+the output path: a byte-identical file certifies a reproduced run, and each
+stamp entry but `experiment` is a config line.  `qos-sweep`, `fig1` and both
+`fig2` modes write the same QoS columns, one `QosSolution` per operating
+point, feasible or not, from one call of the QoS solver.
+
+Exit codes: 0 success, 1 `validate` found some |z| > 4, 2 bad argument or
+config, 3 library error (a numerical or model failure such as an unfittable
+DMT curve); 2 and 3 print one `cogrelay: ...` line on stderr."""
 
 
 def run_experiment(spec: ExperimentSpec, values: dict) -> int:
     """Execute one experiment, write its CSV, return the process exit code.
 
-    values is the resolved key table from build_spec: the runners read their
-    sweep settings from it and the stamp records the keys listed in _RUNNERS.
+    values is the resolved key table from build_spec: the experiments read
+    their sweep settings from it and the stamp records the keys listed in
+    _RUNNERS.  Every row is computed before the file is opened, so a library
+    error writes no CSV.  The code is 1 only when some `validate` row's
+    z-score (its last column) exceeds 4 in magnitude.
     """
-    runner, keys = _RUNNERS[spec.name]
-    lines = [_stamp(spec, values, keys)]
-    code = runner(spec, values, lines)
+    rows_of, header, keys = _RUNNERS[spec.name]
+    rows = list(rows_of(spec.cfg, values))
+    lines = [_stamp(spec, values, keys), header]
+    lines += (",".join(_fmt(v, ";") for v in row) for row in rows)
     try:
         with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as err:
         raise ConfigError(f"cannot write {spec.output_path}: {err}") from None
-    return code
+    return 1 if spec.name == "validate" and any(abs(row[-1]) > 4.0 for row in rows) else 0
 
 
 def build_spec(argv=None):
-    """Parse argv, `--key value` pairs only, into (ExperimentSpec, resolved-config dict)."""
+    """Parse argv, `--key value` pairs only, into (ExperimentSpec, resolved-config dict).
+
+    `-h` or `--help` is read only where an option name goes; it raises
+    _HelpRequested, which main answers with the usage and exit 0.
+    """
     argv = sys.argv[1:] if argv is None else argv
     opts, given = {}, {}     # command-line-only options; config-key overrides
     for i in range(0, len(argv), 2):
         tok = argv[i]
+        if tok in ("-h", "--help"):
+            raise _HelpRequested
         if not tok.startswith("--") or len(tok) == 2:
             raise ConfigError(f"unexpected argument {tok!r}; arguments look like --key value")
         if i + 1 == len(argv):
@@ -313,13 +303,12 @@ def build_spec(argv=None):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if "-h" in argv or "--help" in argv:
-        print(__doc__)
-        return 0
     try:
         spec, values = build_spec(argv)
         return run_experiment(spec, values)
+    except _HelpRequested:
+        print(_USAGE)
+        return 0
     except ConfigError as err:
         print(f"cogrelay: {err}", file=sys.stderr)
         return 2

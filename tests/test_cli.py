@@ -114,13 +114,31 @@ def test_bad_inputs_exit_2(args, tmp_path, capsys, monkeypatch):
     assert err.startswith("cogrelay: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("flag", ["-h", "--help"])
-def test_help_exits_0_and_names_the_experiments(flag, capsys):
-    assert main([flag]) == 0
+_EXPERIMENTS = ("outage-curve", "validate", "dmt", "qos-sweep", "fig1", "fig2")
+
+
+@pytest.mark.parametrize("args", ["-h", "--help", "--experiment fig1 --help"])
+def test_help_exits_0_and_names_the_experiments(args, capsys):
+    assert main(args.split()) == 0
     out = capsys.readouterr().out
     assert "Usage:" in out
-    assert all(name in out for name in
-               ("outage-curve", "validate", "dmt", "qos-sweep", "fig1", "fig2"))
+    assert all(name in out for name in _EXPERIMENTS)
+
+
+def test_help_survives_stripped_docstrings():
+    proc = subprocess.run([sys.executable, "-OO", "-m", "cogrelay.cli", "--help"],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert "Usage:" in proc.stdout
+    assert all(name in proc.stdout for name in _EXPERIMENTS)
+
+
+def test_help_flag_as_a_value_is_a_value(tmp_path, monkeypatch, capsys):
+    # -h where a value goes is that value: here the output file's name
+    monkeypatch.chdir(tmp_path)
+    assert main(["--experiment", "outage-curve", "--n_points", "2", "--out", "-h"]) == 0
+    assert "Usage:" not in capsys.readouterr().out
+    assert (tmp_path / "-h").read_text().splitlines()[1] == "gamma,nu_closed,nu_highsnr"
 
 
 @pytest.mark.parametrize("case", ["direct", "nodirect"])
@@ -153,6 +171,7 @@ def test_library_error_exits_3_without_traceback(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("cogrelay: DegenerateFit") and proc.stderr.count("\n") == 1
+    assert not (tmp_path / "dmt.csv").exists()
 
 
 def test_dmt_monte_carlo_beyond_budget_exits_3(tmp_path, capsys, monkeypatch):
