@@ -13,7 +13,7 @@ from .analytic import (InvalidCase, OutageBreakdown, QuadratureFailure,
 from .beamform import (BeamformerResult, DegenerateChannel, effective_gain,
                        optimal_weights)
 from .channel import ChannelBlock, decode_mask, draw_realizations, substream
-from .config import Case, SystemConfig, snr_threshold
+from .config import Case, SystemConfig
 from .dmt import (DegenerateFit, DiversitySource, DmtCurve, analytic_dmt,
                   empirical_diversity, max_diversity, multiplexing_limit)
 from .qos import (PrimaryInfeasible, QosSolution, SecondaryInfeasible,
@@ -36,5 +36,5 @@ __all__ = [
     "estimate_schedule_throughput", "max_diversity", "max_lambda_k",
     "multiplexing_limit", "optimal_weights", "outage_highsnr",
     "outage_probability", "search_zeta", "secondary_success_prob",
-    "snr_threshold", "solve_assignment", "substream",
+    "solve_assignment", "substream",
 ]

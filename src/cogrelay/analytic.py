@@ -25,11 +25,10 @@ values h_k = 2F1(1, k; n+2; a) with n + 1 - k >= 1.  One seed per call
 gives the top row n = M-2 through a three-term contiguous relation run
 outward in its contracting directions (`_case1_h`); each lower row follows
 from the one above by a positive row descent (`_case1_row_down`).  The seed
-is a series summed in a float loop that stops below half an ulp; only a
-long series (a >= 0.6) is one numpy array sum, since for the short ones
-numpy's call overhead costs more than the loop.  Neither uses
-`scipy.special.hyp2f1`, which on scipy 1.17.1 returns inf or out-of-bound
-values for n >= 99 and a > 0.9.
+is a positive series whose terms a float loop collects until one falls below
+half an ulp, summed by `math.fsum`.  Neither uses `scipy.special.hyp2f1`,
+which on scipy 1.17.1 returns inf or out-of-bound values for n >= 99 and
+a > 0.9.
 
 The Gamma(n, 1) beamforming gain enters both through Poisson terms: the pmf
 and the tails P(n, x) = Pr{Poisson(x) >= n}, the regularized incomplete
@@ -45,17 +44,10 @@ from dataclasses import dataclass
 from math import comb, exp, expm1, fsum, inf, lgamma, log, log1p, pi
 from sys import float_info
 
-import numpy as np
-
 from .channel import _binomial_pmf, _small_k_mass
 from .config import Case, SystemConfig
 
 _log = logging.getLogger(__name__)
-
-# `_case1_h` sums a seed series of up to this many terms (a < 0.6) in a float
-# loop, a longer one as one numpy array: on a 2-core x86_64 host the two break
-# even near a = 0.7, and at a = 0.6 the loop costs about 0.7 of the array
-_SEED_LOOP_TERMS = 100
 
 
 class InvalidCase(Exception):
@@ -217,13 +209,15 @@ def _case1_h(n: int, a: float, b: float) -> list:
     by subtraction from n+1, so rounding errors shrink from step to step.
     The two terms balance near k* = (n+1)/(2-a), which is the seed, summed
     from its positive series sum_j (k*)_j/(n+2)_j a^j.  Its term ratios stay
-    below a, so 40/b terms reach e^-40.  Up to `_SEED_LOOP_TERMS` of them the
-    series is a float loop that stops at the first term below 1e-17: the rest
-    then sums to under 1e-17 a/b <= 1.5e-17, below half an ulp of h >= 1.
-    A longer series is one numpy array, whose fixed call cost of a few us is
-    then below the loop's cost per term.  When (n+1) b <= 1/2 the series
-    converges too slowly, but then every downward step contracts, so the
-    seed is h_{n+1} = (n+1) a^-(n+1) (-ln b - sum_{i<=n} a^i/i).
+    below a, so 40/b terms reach e^-40.  A float loop collects them up to
+    the first term below 1e-17; each later one is a times smaller, so the
+    dropped terms sum to under 1e-17/b, while the seed itself grows about as
+    1/b: against mpmath the dropped part stays under 4e-17 of it, below half
+    an ulp.  `math.fsum` adds the kept terms with one rounding, where a
+    running sum drifts to 1e-13 over the 63,000 terms at n = 1022.  When
+    (n+1) b <= 1/2 the series converges too slowly, but then every downward
+    step contracts, so the seed is
+    h_{n+1} = (n+1) a^-(n+1) (-ln b - sum_{i<=n} a^i/i).
     """
     h = [1.0] * (n + 2)
     if (n + 1) * b <= 0.5:
@@ -236,18 +230,13 @@ def _case1_h(n: int, a: float, b: float) -> list:
         h[k0] = (n + 1) * (-log(b) - head) / (apow * a) if b > 0.0 else 0.0
     else:
         k0 = min(max(round((n + 1) / (2.0 - a)), 1), n)
-        terms = int(40.0 / b) + 1
-        if terms <= _SEED_LOOP_TERMS:
-            term, acc = 1.0, 0.0
-            for j in range(terms):
-                term *= (k0 + j) / (n + 2 + j) * a
-                if term < 1e-17:
-                    break
-                acc += term
-            h[k0] = 1.0 + acc
-        else:
-            j = np.arange(k0, k0 + terms, dtype=float)
-            h[k0] = 1.0 + float(np.cumprod(j / (j + (n + 2 - k0)) * a).sum())
+        term, terms = 1.0, [1.0]
+        for j in range(int(40.0 / b) + 1):
+            term *= (k0 + j) / (n + 2 + j) * a
+            if term < 1e-17:
+                break
+            terms.append(term)
+        h[k0] = fsum(terms)
         for k in range(k0, n):
             h[k + 1] = (n + 1 - (n + 1 - k) * h[k]) / (k * b)
     for k in range(k0 - 1, 0, -1):

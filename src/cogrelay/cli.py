@@ -7,6 +7,7 @@ code.  `_USAGE` is the `--help` text.
 """
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -139,19 +140,14 @@ def _outage_curve(cfg: SystemConfig, values: dict):
         yield float(g), outage_probability(cfg_i).nu, outage_highsnr(cfg_i)
 
 
-# closed forms are validated on a fixed stress grid rather than at the single
-# configured point; gamma_s and (for the no-direct-link case) zeta come from
-# the grid as well, so only case, zeta, trials and seed matter here.
-_VALIDATE_M = (3, 4, 6)
-_VALIDATE_GAMMA = (10.0, 50.0, 200.0)
-_VALIDATE_R = (0.25, 0.5, 1.0)
-_VALIDATE_ZETA = (0.4, 0.5, 0.6)
-
-
+# closed forms are validated on a fixed stress grid of M, gamma_p and R rather
+# than at the single configured point; gamma_s and (for the no-direct-link
+# case) zeta come from the grid as well, so only case, zeta, trials and seed
+# matter here.
 def _validate(cfg: SystemConfig, values: dict):
     trials = values["trials"]
-    zetas = _VALIDATE_ZETA if cfg.case is Case.NO_DIRECT_LINK else (cfg.zeta,)
-    grid = product(_VALIDATE_M, _VALIDATE_GAMMA, _VALIDATE_R, zetas)
+    zetas = (0.4, 0.5, 0.6) if cfg.case is Case.NO_DIRECT_LINK else (cfg.zeta,)
+    grid = product((3, 4, 6), (10.0, 50.0, 200.0), (0.25, 0.5, 1.0), zetas)
     for row, (M, g, R, z) in enumerate(grid):
         cfg_i = SystemConfig(M=M, gamma_p=g, gamma_s=30.0, R=R, case=cfg.case, zeta=z)
         nu = outage_probability(cfg_i).nu
@@ -307,7 +303,12 @@ def main(argv=None) -> int:
         spec, values = build_spec(argv)
         return run_experiment(spec, values)
     except _HelpRequested:
-        print(_USAGE)
+        try:
+            print(_USAGE, flush=True)
+        except BrokenPipeError:
+            # the reader closed the pipe (`| head -1`): drop the rest, so the
+            # flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except ConfigError as err:
         print(f"cogrelay: {err}", file=sys.stderr)

@@ -95,19 +95,14 @@ def _as_reals(name: str, xs) -> tuple:
         raise ValueError(f"{name} must be a sequence of reals, got {xs!r}") from None
 
 
-def snr_threshold(rate: float) -> float:
-    """Minimum SNR for rate to be supported: 2**rate - 1.
+def _split_threshold(R: float, zeta: float, forward: bool = False) -> float:
+    """Broadcast 2^(R/zeta) - 1 or forward 2^(R/(1-zeta)) - 1 of a zeta : 1 - zeta slot;
+    zeta = 1/2 gives 2^(2R) - 1 bit for bit, division by 1/2 being exact.
 
     Saturates to inf past the float range (rates beyond ~1024 bits arise for
     slot splits zeta near 0 or 1, where the outage is genuinely certain).
     """
     try:
-        return math.expm1(rate * math.log(2.0))
+        return math.expm1(R / (1.0 - zeta if forward else zeta) * math.log(2.0))
     except OverflowError:
         return math.inf
-
-
-def _split_threshold(R: float, zeta: float, forward: bool = False) -> float:
-    """Broadcast 2^(R/zeta) - 1 or forward 2^(R/(1-zeta)) - 1 of a zeta : 1 - zeta slot;
-    zeta = 1/2 gives 2^(2R) - 1 bit for bit, division by 1/2 being exact."""
-    return snr_threshold(R / (1.0 - zeta if forward else zeta))

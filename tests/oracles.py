@@ -16,7 +16,7 @@ fold a whole block at once instead of chunk by chunk, and
 `empirical_diversity_ref` the closed-form DMT slope by numpy's line fit.
 """
 from dataclasses import replace
-from math import comb, exp, expm1, factorial, lgamma, log, log2, nan
+from math import comb, exp, expm1, factorial, inf, lgamma, log, log2, nan
 from typing import Callable
 
 import mpmath
@@ -27,7 +27,7 @@ from cogrelay.analytic import (InvalidCase, OutageBreakdown, QuadratureFailure,
                                _breakdown, _nu_small_k, outage_probability)
 from cogrelay.beamform import _DEGENERACY_FLOOR, DegenerateChannel
 from cogrelay.channel import draw_realizations, substream
-from cogrelay.config import Case, SystemConfig, _as_index, snr_threshold
+from cogrelay.config import Case, SystemConfig, _as_index
 from cogrelay.qos import (PrimaryInfeasible, QosSolution, SecondaryInfeasible,
                           solve_assignment)
 from cogrelay.simulate import _slot_events
@@ -131,6 +131,15 @@ def _case1_nu1_given_phi(cfg: SystemConfig, phi: float) -> float:
     Q = phase_q(cfg)[1]
     pmf = decoding_pmf(cfg)
     return sum(pmf[K] * _case1_bracket(K, Q, phi) for K in range(2, cfg.M))
+
+
+def snr_threshold(rate: float) -> float:
+    """Minimum SNR 2^rate - 1 for rate, saturating to inf past the float range;
+    formed as `config._split_threshold` forms it, so exact comparisons keep their bits."""
+    try:
+        return expm1(rate * log(2.0))
+    except OverflowError:
+        return inf
 
 
 def phase_rates(cfg: SystemConfig) -> tuple:

@@ -19,13 +19,12 @@ from scipy import integrate, special
 import oracles
 from cogrelay import (Case, InvalidCase, SystemConfig, case1_outage,
                       case2_outage, effective_gain,
-                      outage_highsnr, outage_probability, snr_threshold,
-                      substream)
+                      outage_highsnr, outage_probability, substream)
 from cogrelay import analytic
 from cogrelay.channel import _binomial_pmf
 from oracles import (SeriesNotConverged, _case1_bracket, average_over_phi,
                      case1_outage_given_phi, case2_outage_given_phi,
-                     case2_nu1_mp, outage_highsnr_direct, outage_mp)
+                     case2_nu1_mp, outage_highsnr_direct, outage_mp, snr_threshold)
 
 
 def _cfg(M=4, gamma_p=50.0, gamma_s=30.0, R=0.5, case="direct", zeta=0.5):
@@ -559,16 +558,24 @@ def test_case1_hypergeometric_recurrence_vs_mpmath():
                     for k in sorted({1, max(n // 2, 1), n}):
                         ref = float(mpmath.hyp2f1(1, k, n + 2, a))
                         assert math.isclose(h[k], ref, rel_tol=1e-13), (top, n, a, k, h[k], ref)
-        # both sides of the float-loop / array cut of the seed series (b = 40/terms)
-        # and of the log-branch boundary (n+1) b = 1/2, every k
-        a_cut = 1.0 - 40.0 / analytic._SEED_LOOP_TERMS
+        # both sides of a = 0.6 (a seed series of 100 terms) and of the
+        # log-branch boundary (n+1) b = 1/2, every k
         for n in (1, 2, 4, 8, 38):
             a_log = 1.0 - 0.5 / (n + 1)
-            for a in (a_cut - 1e-9, a_cut + 1e-9, a_log - 1e-9, a_log + 1e-9):
+            for a in (0.6 - 1e-9, 0.6 + 1e-9, a_log - 1e-9, a_log + 1e-9):
                 h = _case1_h(n, a, 1.0 - a)
                 for k in range(1, n + 1):
                     ref = float(mpmath.hyp2f1(1, k, n + 2, a))
                     assert math.isclose(h[k], ref, rel_tol=1e-13), (n, a, k, h[k], ref)
+        # long seed series, from just past the log boundary: a running sum of
+        # their 5,700 to 63,000 terms drifts to 1e-13
+        for n, nb in itertools.product((499, 1022), (0.505, 1.0, 5.0)):
+            a = 1.0 - nb / (n + 1)
+            h = _case1_h(n, a, 1.0 - a)
+            k_seed = min(max(round((n + 1) / (2.0 - a)), 1), n)
+            for k in sorted({1, n // 4, n // 2, k_seed, 3 * n // 4, n}):
+                ref = float(mpmath.hyp2f1(1, k, n + 2, a))
+                assert math.isclose(h[k], ref, rel_tol=1e-13), (n, a, k, h[k], ref)
 
 
 @pytest.mark.parametrize("M", [3, 6, 40])
@@ -581,12 +588,13 @@ def test_case1_seeds_one_row_per_call(monkeypatch, M):
 
 
 def test_case1_seed_at_the_fig1_point_builds_no_array(monkeypatch):
-    # gamma_p 50, gamma_s 30, R 0.75: a = 0.52, a short seed series summed in floats
+    # gamma_p 50, gamma_s 30: R 0.75 gives a = 0.52 and the last fig1 rate,
+    # R 1.5, a = 0.81; either seed series is summed in floats
     calls = []
     arange = np.arange
     monkeypatch.setattr(np, "arange", lambda *a, **k: calls.append(a) or arange(*a, **k))
-    for M in (4, 5, 6):
-        outage_probability(_cfg(M=M, R=0.75))
+    for M, R in itertools.product((4, 5, 6), (0.75, 1.5)):
+        outage_probability(_cfg(M=M, R=R))
     assert calls == []
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cogrelay import (Case, SystemConfig, decode_mask, draw_realizations,
-                      snr_threshold, substream)
+from cogrelay import Case, SystemConfig, decode_mask, draw_realizations, substream
 from cogrelay.channel import _binomial_pmf, _small_k_mass
+from oracles import snr_threshold
 
 
 def _cfg(case="direct", M=4, R=0.5):

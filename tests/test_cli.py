@@ -133,6 +133,22 @@ def test_help_survives_stripped_docstrings():
     assert all(name in proc.stdout for name in _EXPERIMENTS)
 
 
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_help_into_a_closed_pipe_ends_quietly(unbuffered):
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cogrelay.cli", "--help"],
+                              stdout=w, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_help_flag_as_a_value_is_a_value(tmp_path, monkeypatch, capsys):
     # -h where a value goes is that value: here the output file's name
     monkeypatch.chdir(tmp_path)

@@ -9,9 +9,11 @@ import pytest
 
 from cogrelay import (Case, SystemConfig, analytic_dmt, draw_realizations, estimate_outage,
                       estimate_schedule_throughput, max_lambda_k, outage_highsnr,
-                      outage_probability, search_zeta, snr_threshold, solve_assignment,
+                      outage_probability, search_zeta, solve_assignment,
                       substream)
 from cogrelay.cli import main
+from cogrelay.config import _split_threshold
+from oracles import snr_threshold
 
 
 def test_defaults():
@@ -113,11 +115,13 @@ def test_rates_split_slot():
 
 
 def test_snr_threshold_values():
-    assert snr_threshold(0.0) == 0.0
-    assert math.isclose(snr_threshold(1.0), 1.0, rel_tol=1e-15)
-    assert math.isclose(snr_threshold(2.0), 3.0, rel_tol=1e-15)
-    assert math.isclose(snr_threshold(0.5), math.sqrt(2.0) - 1.0, rel_tol=1e-14)
-    assert snr_threshold(5000.0) == math.inf  # saturates instead of overflowing
+    def thr(rate):     # 2^rate - 1 through the even split, rate/2 / (1/2) = rate exactly
+        return _split_threshold(rate / 2.0, 0.5)
+    assert thr(0.0) == 0.0
+    assert math.isclose(thr(1.0), 1.0, rel_tol=1e-15)
+    assert math.isclose(thr(2.0), 3.0, rel_tol=1e-15)
+    assert math.isclose(thr(0.5), math.sqrt(2.0) - 1.0, rel_tol=1e-14)
+    assert thr(5000.0) == math.inf  # saturates instead of overflowing
 
 
 def test_frozen():

@@ -14,9 +14,9 @@ from cogrelay import (InvalidCase, PrimaryInfeasible, SecondaryInfeasible,
                       solve_assignment)
 from cogrelay.analytic import _nu_small_k
 from cogrelay.channel import _binomial_pmf
-from cogrelay.config import _split_threshold, snr_threshold
+from cogrelay.config import _split_threshold
 from cogrelay.qos import QosSolution, _solve
-from oracles import decoding_q, search_zeta_exhaustive
+from oracles import decoding_q, search_zeta_exhaustive, snr_threshold
 
 # the figure presets: users 2..M demand these rates, user 1 is the tagged one
 _TARGETS = (0.1, 0.2, 0.1, 0.15, 0.1)
