@@ -16,8 +16,7 @@ from math import inf, isfinite, sqrt
 
 import numpy as np
 
-from .analytic import InvalidCase, outage_highsnr, outage_probability
-from .beamform import DegenerateChannel
+from .analytic import outage_highsnr, outage_probability
 from .config import Case, SystemConfig, _as_index
 from .dmt import DegenerateFit, DiversitySource, analytic_dmt, empirical_diversity
 from .qos import QosSolution, _solve, search_zeta
@@ -30,10 +29,6 @@ class ConfigError(Exception):
 
 class _HelpRequested(Exception):
     """`-h` or `--help` stood where an option name goes."""
-
-
-# the library's own failures, reported with exit code 3
-_LIBRARY_ERRORS = (DegenerateChannel, DegenerateFit, InvalidCase)
 
 
 # every recognized config key with its default; a value parses as the type of
@@ -140,6 +135,11 @@ def _outage_curve(cfg: SystemConfig, values: dict):
         yield float(g), outage_probability(cfg_i).nu, outage_highsnr(cfg_i)
 
 
+def _row_key(values: dict, row: int) -> int:
+    """The Philox key of Monte Carlo row `row`: seed + row * 2^64."""
+    return values["seed"] + (row << 64)
+
+
 # closed forms are validated on a fixed stress grid of M, gamma_p and R rather
 # than at the single configured point; gamma_s and (for the no-direct-link
 # case) zeta come from the grid as well, so only case, zeta, trials and seed
@@ -151,7 +151,7 @@ def _validate(cfg: SystemConfig, values: dict):
     for row, (M, g, R, z) in enumerate(grid):
         cfg_i = SystemConfig(M=M, gamma_p=g, gamma_s=30.0, R=R, case=cfg.case, zeta=z)
         nu = outage_probability(cfg_i).nu
-        est = estimate_outage(cfg_i, trials, seed=values["seed"] + row,
+        est = estimate_outage(cfg_i, trials, seed=_row_key(values, row),
                               workers=values["workers"]).primary
         # test the sample against the closed form, so the stderr comes from
         # nu itself (the empirical one is degenerate whenever the observed
@@ -170,7 +170,7 @@ def _dmt(cfg: SystemConfig, values: dict):
     # the empirical fit needs r < r_max, so the curve's last point is dropped
     for i, (r, d_a) in enumerate(analytic_dmt(cfg, values["n_points"] + 1).points[:-1]):
         yield r, d_a, empirical_diversity(cfg, r, grid, source=source,
-                                          seed=values["seed"] + i, workers=values["workers"])
+                                          seed=_row_key(values, i), workers=values["workers"])
 
 
 def _qos_sweep(cfg: SystemConfig, values: dict):
@@ -283,6 +283,8 @@ def build_spec(argv=None):
     try:
         _as_index("trials", values["trials"], 1)
         _as_index("workers", values["workers"], 1)
+        # a seed below 2^64 makes every row key seed + row * 2^64 distinct,
+        # within a run and across runs at different seeds
         _as_index("seed", values["seed"], 0, 2**64)
         cfg = SystemConfig(**cfg_args)
         _as_index("n_points", values["n_points"], 2)
@@ -313,7 +315,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"cogrelay: {err}", file=sys.stderr)
         return 2
-    except _LIBRARY_ERRORS as err:
+    except DegenerateFit as err:     # the one library error a CLI path can raise
         print(f"cogrelay: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
 

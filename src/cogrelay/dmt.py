@@ -82,9 +82,8 @@ def empirical_diversity(cfg: SystemConfig, r: float, gamma_grid,
     fitted points, gamma_grid[len(gamma_grid) // 2:], are evaluated: a zero
     or invalid outage among them raises DegenerateFit, while one below them,
     or a negative rate r log2(gamma) at gamma < 1, raises nothing.  The Monte
-    Carlo source draws point i (its index in the whole grid) from seed + i,
-    so seed + len(gamma_grid) - 1 must lie in [0, 2^128) as well, and
-    workers is an integer >= 1.
+    Carlo source draws every fitted point from the one key seed, in [0, 2^128),
+    so the points share common random numbers; workers is an integer >= 1.
     """
     source = DiversitySource(source)
     r = _as_real("r", r)
@@ -98,12 +97,10 @@ def empirical_diversity(cfg: SystemConfig, r: float, gamma_grid,
     if source is DiversitySource.MONTE_CARLO:
         if grid[-1] > _MC_GAMMA_CAP:
             raise ValueError(f"MonteCarlo source is capped at gamma <= {_MC_GAMMA_CAP:g}")
-        # point i draws from key seed + i, so the last key must be a seed too
-        seed = _as_index("seed", seed, 0, _PHILOX_KEYS - len(grid) + 1)
+        seed = _as_index("seed", seed, 0, _PHILOX_KEYS)
         workers = _as_index("workers", workers, 1)
 
-    top = len(grid) // 2
-    fit = grid[top:]
+    fit = grid[len(grid) // 2:]
     x = [log(g) for g in fit]
     if x[0] == x[-1]:
         raise DegenerateFit(f"the top of gamma_grid, {fit[0]:g}..{fit[-1]:g}, "
@@ -115,8 +112,8 @@ def empirical_diversity(cfg: SystemConfig, r: float, gamma_grid,
         if sum(trials) > _MC_MAX_SLOTS:
             raise DegenerateFit(f"Monte Carlo fit plans {sum(trials):.3g} slots, "
                                 f"over the budget of {_MC_MAX_SLOTS:.0e}")
-        nus = [estimate_outage(c, n, seed=seed + i, workers=workers).primary.p_hat
-               for i, (c, n) in enumerate(zip(cfgs, trials), top)]
+        nus = [estimate_outage(c, n, seed=seed, workers=workers).primary.p_hat
+               for c, n in zip(cfgs, trials)]
     for g, nu in zip(fit, nus):
         if not nu > 0.0:
             raise DegenerateFit(f"outage {nu} at gamma={g:g} admits no log-log fit")

@@ -312,6 +312,31 @@ def test_validate_statistical_failure_exits_1(tmp_path):
     assert any(abs(float(r[-1])) > 4.0 for r in rows)
 
 
+@pytest.mark.parametrize("case", ["direct", "nodirect"])
+def test_validate_rows_share_no_key_within_or_across_seeds(case, tmp_path, monkeypatch):
+    # every row reads key seed + row * 2^64; the stub returns the closed form
+    from test_dmt import _closed_form_draws
+    keys = {0: [], 1: []}
+    for seed, drawn in keys.items():
+        monkeypatch.setattr("cogrelay.cli.estimate_outage", _closed_form_draws(drawn))
+        assert _run(tmp_path, "--experiment", "validate", "--case", case,
+                    "--seed", str(seed))[0] == 0
+    assert len(keys[0]) == len(set(keys[0])) == (27 if case == "direct" else 81)
+    assert set(keys[0]).isdisjoint(keys[1])
+
+
+def test_dmt_row_r_reads_key_seed_plus_r_times_2_64(tmp_path, monkeypatch):
+    keys = []
+
+    def record(cfg, r, grid, source, seed, workers):
+        keys.append(seed)
+        return 1.0
+
+    monkeypatch.setattr("cogrelay.cli.empirical_diversity", record)
+    assert _run(tmp_path, "--experiment", "dmt", "--n_points", "3", "--seed", "5")[0] == 0
+    assert keys == [5, 5 + 2**64, 5 + 2**65]
+
+
 def test_rerun_is_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

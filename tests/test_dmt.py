@@ -199,20 +199,19 @@ def test_monte_carlo_fit_checks_seed_and_workers_before_budget(monkeypatch, kwar
                             **kwargs)
 
 
-def test_monte_carlo_fit_checks_last_key_before_drawing(monkeypatch):
-    # point i draws from key seed + i: the last key must lie in [0, 2^128) too
-    keys = []
-
-    def closed_form(cfg, trials, seed, workers):
+def _closed_form_draws(keys):
+    """An estimate_outage stand-in: it appends each seed to keys and returns the closed form."""
+    def estimate(cfg, trials, seed, workers):
         keys.append(seed)
         return SimpleNamespace(primary=SimpleNamespace(p_hat=outage_probability(cfg).nu))
+    return estimate
 
-    monkeypatch.setattr(dmt, "estimate_outage", closed_form)
+
+def test_monte_carlo_fit_draws_every_point_from_its_seed(monkeypatch):
+    # one key for the whole fit (common random numbers), so any seed below 2^128 will do
+    keys = []
+    monkeypatch.setattr(dmt, "estimate_outage", _closed_form_draws(keys))
     grid = [10.0, 20.0, 40.0]
-    for seed in (2**128 - 1, 2**128 - 2):
-        with pytest.raises(ValueError, match="seed"):
-            empirical_diversity(_cfg(M=3), 0.0, grid, source="monte_carlo", seed=seed)
-    assert keys == []
-    d = empirical_diversity(_cfg(M=3), 0.0, grid, source="monte_carlo", seed=2**128 - 3)
-    assert keys == [2**128 - 2, 2**128 - 1]     # only the fitted points 1 and 2 are drawn
+    d = empirical_diversity(_cfg(M=3), 0.0, grid, source="monte_carlo", seed=2**128 - 1)
+    assert keys == [2**128 - 1] * 2     # only the fitted points 1 and 2 are drawn
     assert d == empirical_diversity(_cfg(M=3), 0.0, grid)
