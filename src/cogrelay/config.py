@@ -18,7 +18,8 @@ class Case(str, Enum):
     """Topology variant.
 
     DIRECT_LINK: the primary destination also hears the primary transmitter,
-    so the slot is split in half and both hops run at rate 2R.
+    so the slot is split in half and both hops run at rate 2R; its config
+    stores zeta = 1/2, whatever zeta it is given.
     NO_DIRECT_LINK: the destination only hears the relays; the slot is split
     zeta / (1 - zeta) between broadcast and forwarding.
     """
@@ -34,7 +35,7 @@ class SystemConfig:
     gamma_s: float              # secondary transmit SNR
     R: float                    # primary target rate (bits/s/Hz, per full slot)
     case: Case = Case.DIRECT_LINK
-    zeta: float = 0.5           # broadcast-phase fraction, only meaningful without direct link
+    zeta: float = 0.5           # broadcast-phase fraction; a direct link stores 1/2
     lambda_p: float = 0.0       # primary throughput target (packets/slot)
     lambda_s: tuple[float, ...] | None = None  # per-SU throughput targets, length M (default zeros)
 
@@ -52,6 +53,8 @@ class SystemConfig:
             raise ValueError(f"rate must be finite and nonnegative, got R={self.R}")
         if not 0.0 < self.zeta < 1.0:
             raise ValueError(f"zeta must lie strictly inside (0, 1), got {self.zeta}")
+        if self.case is Case.DIRECT_LINK:     # the direct-link protocol halves the slot
+            object.__setattr__(self, "zeta", 0.5)
         if not 0.0 <= self.lambda_p <= 1.0:
             raise ValueError(f"lambda_p must be a rate in [0, 1], got {self.lambda_p}")
         if len(self.lambda_s) != self.M:
@@ -60,10 +63,9 @@ class SystemConfig:
             raise ValueError("secondary throughput targets must lie in [0, 1]")
 
     def thresholds(self) -> tuple[float, float]:
-        """(broadcast, forward) SNR thresholds 2^rate - 1; the forward phase carries
-        the relayed packet and the secondary's own.  A direct link halves the slot."""
-        zeta = 0.5 if self.case is Case.DIRECT_LINK else self.zeta
-        return _split_threshold(self.R, zeta), _split_threshold(self.R, zeta, True)
+        """(broadcast, forward) SNR thresholds 2^rate - 1 of the zeta : 1 - zeta slot;
+        the forward phase carries the relayed packet and the secondary's own."""
+        return _split_threshold(self.R, self.zeta), _split_threshold(self.R, self.zeta, True)
 
 
 def _as_index(name: str, x, lo: int = 0, hi: int | None = None) -> int:

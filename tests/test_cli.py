@@ -264,6 +264,20 @@ def test_fig1_csv_ignores_keys_it_does_not_read(tmp_path):
     assert out.read_bytes() == default.read_bytes()
     assert out.read_text().splitlines()[0] == (
         "# R_max=1.5 R_min=0.0 experiment=fig1 n_points=31 seed=0 trials=100000")
+    # validate fixes its own splits, and a direct-link config reads zeta = 1/2,
+    # so zeta changes neither validate's file nor a direct-link qos-sweep's rows
+    def run(*args):
+        return main([*args, "--out", str(out)]), out.read_bytes()
+
+    for case in ("direct", "nodirect"):
+        validate = ("--experiment", "validate", "--trials", "2000", "--case", case)
+        code, data = run(*validate, "--zeta", "0.3")
+        assert (code, data) == run(*validate)
+        assert data.decode().splitlines()[0] == (
+            f"# case={case} experiment=validate seed=0 trials=2000")
+    qos = ("--experiment", "qos-sweep", "--case", "direct")
+    (code_z, data_z), (code, data) = run(*qos, "--zeta", "0.3"), run(*qos)
+    assert code_z == code == 0 and data_z.splitlines()[1:] == data.splitlines()[1:]
 
 
 # ------------------------------------------------------------------------ experiments

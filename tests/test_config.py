@@ -64,6 +64,19 @@ def test_validation_rejects(kwargs):
 _NOT_REAL = ["0.5", None, 0.5 + 0j, True, False, np.bool_(True), 10**400]
 
 
+def test_direct_link_stores_the_half_split():
+    # the direct-link protocol halves every slot, so a direct-link config stores
+    # zeta = 1/2 whatever valid zeta it is given; an invalid zeta still raises
+    base = dict(M=4, gamma_p=50.0, gamma_s=30.0, R=0.5)
+    cfg, half = SystemConfig(**base, zeta=0.3), SystemConfig(**base, zeta=0.5)
+    assert cfg.zeta == 0.5 and cfg == half
+    assert cfg.thresholds() == half.thresholds()
+    assert SystemConfig(**base, case="nodirect", zeta=0.3).zeta == 0.3
+    for bad in (0, 1, math.nan, "0.3"):
+        with pytest.raises(ValueError, match="zeta"):
+            SystemConfig(**base, zeta=bad)
+
+
 @pytest.mark.parametrize("bad", _NOT_REAL)
 @pytest.mark.parametrize("name", ["gamma_p", "gamma_s", "R", "zeta", "lambda_p", "lambda_s"])
 def test_real_fields_reject_non_reals(name, bad):
@@ -156,8 +169,6 @@ def _cli(key):
     """call(x) running the CLI with `--key x` on a small qos-sweep (M = 3): returns
     on exit 0 and raises ValueError with the one `cogrelay:` line of an exit 2."""
     def call(x):
-        if type(x) is bool:
-            pytest.skip("the CLI reads text, so no bool reaches its checks")
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(["--experiment", "qos-sweep", "--M", "3", "--n_points", "2",
@@ -183,21 +194,31 @@ _INTEGER_ARGS = [
     ("num_points", lambda b: analytic_dmt(_NODIRECT, num_points=b), 2, None),
     ("index", lambda b: substream(0, b), 0, 2**128),
     ("n", lambda b: draw_realizations(_NODIRECT, b, substream(0, 0)), 0, None),
-    # the CLI's own bounds; k counts users from 1 there
+]
+# the CLI's own bounds; k counts users from 1 there.  The CLI reads text, so no
+# bool reaches its checks, and these rows get no bool cases.
+_CLI_INTEGER_ARGS = [
     ("trials", _cli("trials"), 1, None),
     ("workers", _cli("workers"), 1, None),
     ("seed", _cli("seed"), 0, 2**64),
     ("n_points", _cli("n_points"), 2, None),
     ("k", _cli("k"), 1, 4),
 ]
+# each row's id is "name-function"; a pair that repeats is numbered from 0, as
+# pytest numbers repeated ids
+_ROW_IDS = [f"{row[0]}-{row[1].__name__}" for row in _INTEGER_ARGS + _CLI_INTEGER_ARGS]
+_ROW_IDS = [i + str(_ROW_IDS[:n].count(i)) if _ROW_IDS.count(i) > 1 else i
+            for n, i in enumerate(_ROW_IDS)]
 
 
-@pytest.mark.parametrize("bad", [True, False, "outside", "inside"])
-@pytest.mark.parametrize("name, call", [row[:2] for row in _INTEGER_ARGS])
-def test_integer_arguments_reject_bools(name, call, bad):
+@pytest.mark.parametrize("name, call, lo, hi, bad", [
+    pytest.param(*row, bad, id=f"{row_id}-{bad}")
+    for row_id, row in zip(_ROW_IDS, _INTEGER_ARGS + _CLI_INTEGER_ARGS)
+    for bad in (("outside", "inside") if row in _CLI_INTEGER_ARGS
+                else (True, False, "outside", "inside"))])
+def test_integer_arguments_reject_bools(name, call, lo, hi, bad):
     # a bool is no count or index, although operator.index(True) is 1; an integer
     # passes exactly in [lo, hi), and the rejection names the argument
-    lo, hi = next(row[2:] for row in _INTEGER_ARGS if row[1] is call)
     if bad == "inside":
         for x in (lo, hi - 1) if hi is not None else (lo,):
             call(x)

@@ -110,7 +110,8 @@ def test_empirical_diversity_validation():
         empirical_diversity(cfg, 0.0, [10.0, 20.0])  # too few points
     with pytest.raises(ValueError):
         empirical_diversity(cfg, 0.0, [10.0, 10.0, 20.0])
-    with pytest.raises(ValueError):
+    # no SNR cap: a Monte Carlo fit past 10^4 meets the slot budget like any other
+    with pytest.raises(DegenerateFit, match="slots"):
         empirical_diversity(cfg, 0.0, np.logspace(3, 5, 5), source="monte_carlo")
     for r in ("0", None, 0j, False):                 # not a real multiplexing gain
         with pytest.raises(ValueError, match="r must be a real number"):
@@ -205,6 +206,16 @@ def _closed_form_draws(keys):
         keys.append(seed)
         return SimpleNamespace(primary=SimpleNamespace(p_hat=outage_probability(cfg).nu))
     return estimate
+
+
+def test_monte_carlo_fit_past_1e4_draws_within_budget(monkeypatch):
+    # M = 2 plans 1.1e7 slots for its fit up to gamma = 1e5, inside the 10^8 budget
+    keys = []
+    monkeypatch.setattr(dmt, "estimate_outage", _closed_form_draws(keys))
+    grid = [1e3, 1e4, 1e5]
+    d = empirical_diversity(_cfg(M=2), 0.0, grid, source="monte_carlo", seed=5)
+    assert keys == [5, 5]
+    assert d == empirical_diversity(_cfg(M=2), 0.0, grid)
 
 
 def test_monte_carlo_fit_draws_every_point_from_its_seed(monkeypatch):

@@ -180,17 +180,6 @@ def test_block_size_shrinks_past_m65(monkeypatch):
         assert seen == expected * 2, M
 
 
-def test_block_memory_is_bounded_in_m():
-    # one block of 16384 slots at M = 1024 traced about 1.2 GB
-    tracemalloc.start()
-    try:
-        estimate_outage(_cfg(M=1024), BLOCK_SLOTS, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 150e6, peak
-
-
 def test_block_memory_stays_under_16mb():
     # the block's normals and gain temporaries span one chunk, not the block:
     # whole-block folds traced 48 MB at M = 40 and 77 MB at M = 1024
