@@ -105,7 +105,9 @@ def _fmt(value, sep: str = ",") -> str:
 
 
 def _stamp(spec: ExperimentSpec, values: dict, keys: tuple) -> str:
-    entries = {**{k: values[k] for k in keys}, "experiment": spec.name}
+    # zeta as the config resolved it: a direct link reads 1/2, whatever was given
+    resolved = {**values, "zeta": spec.cfg.zeta}
+    entries = {**{k: resolved[k] for k in keys}, "experiment": spec.name}
     return "# " + " ".join(f"{k}={_fmt(entries[k])}" for k in sorted(entries))
 
 

@@ -280,6 +280,22 @@ def test_fig1_csv_ignores_keys_it_does_not_read(tmp_path):
     assert code_z == code == 0 and data_z.splitlines()[1:] == data.splitlines()[1:]
 
 
+@pytest.mark.parametrize("experiment", ["qos-sweep", "outage-curve", "dmt"])
+def test_direct_link_stamp_records_the_resolved_zeta(experiment, tmp_path):
+    # a direct-link config reads zeta = 1/2, and its stamp says so: --zeta 0.3
+    # writes the default run's file, stamp included
+    given, default = tmp_path / "given.csv", tmp_path / "default.csv"
+    args = ["--experiment", experiment, "--case", "direct"]
+    assert main([*args, "--zeta", "0.3", "--out", str(given)]) == 0
+    assert main([*args, "--out", str(default)]) == 0
+    assert given.read_bytes() == default.read_bytes()
+    assert " zeta=0.5" in given.read_text().splitlines()[0]
+    # without a direct link the split is read, and stamped, as given
+    assert main(["--experiment", experiment, "--case", "nodirect", "--zeta", "0.3",
+                 "--out", str(given)]) == 0
+    assert " zeta=0.3" in given.read_text().splitlines()[0]
+
+
 # ------------------------------------------------------------------------ experiments
 
 def test_outage_curve_csv(tmp_path):

@@ -224,10 +224,22 @@ def _at_nu2_edge(shift, grid_size=49, i=20):
     return replace(cfg, lambda_p=1.0 - nu2 + shift), 0, grid_size
 
 
+def _at_nu_edge(shift, M=4, grid_size=999, split=None):
+    """lambda_p = 1 - nu at one split, shifted; at the grid's least nu when split
+    is None.  nu falls with zeta up to split 436 of 999 at M = 4, 404 at M = 40,
+    so a split below is the first feasible one."""
+    cfg = SystemConfig(M=M, gamma_p=10.0, gamma_s=30.0, R=1.0, case="nodirect",
+                       lambda_s=(0.0, 0.1) + (0.0,) * (M - 2))
+    n = grid_size + 1
+    nu = min(outage_probability(replace(cfg, zeta=i / n)).nu
+             for i in ((split,) if split else range(1, n)))
+    return replace(cfg, lambda_p=1.0 - nu + shift), 0, grid_size
+
+
 @settings(max_examples=150, deadline=None)
 @given(_zeta_scenarios())
 # lambda_p on the nu2 prune's edge at one split: exactly, and across it by
-# less and by more than the bisection's 1e-12 margin
+# a hair either way, inside the bisection's margin of about 5e-12 there
 @example(_at_nu2_edge(0.0))
 @example(_at_nu2_edge(1e-16))
 @example(_at_nu2_edge(-1e-16))
@@ -243,6 +255,23 @@ def _at_nu2_edge(shift, grid_size=49, i=20):
                        case="nodirect"), 0, 19))
 # f underflows to 0 at the last splits while the demands are all 0
 @example((SystemConfig(M=2, gamma_p=50.0, gamma_s=30.0, R=1.5, case="nodirect"), 0, 49))
+# the first feasible split past the six tested one at a time, deep inside a
+# run of doubling width: 49 past the nu2 bisection (in the run 33..64 past it),
+# 50 at M = 40, and 104 at grid_size 4999 (in the run 65..128)
+@example(_at_nu_edge(0.0, split=270))
+@example(_at_nu_edge(0.0, M=40, split=260))
+@example(_at_nu_edge(0.0, grid_size=4999, split=1100))
+# lambda_p = 1 - min nu: feasible at that split alone, and shifted across it
+# by a hair, far inside the run bound's margin
+@example(_at_nu_edge(0.0))
+@example(_at_nu_edge(1e-13))
+@example(_at_nu_edge(-1e-13))
+@example(_at_nu_edge(0.0, M=40))
+@example(_at_nu_edge(1e-13, M=40))
+# lambda_p = 1 takes only a split whose nu is at most 2^-54, where 1 - nu
+# rounds to 1: here split 167 of 999, past splits whose nu is just above that
+@example((SystemConfig(M=6, gamma_p=1e4, gamma_s=0.5, R=0.1, case="nodirect",
+                       lambda_p=1.0), 0, 999))
 def test_search_zeta_matches_exhaustive_scan(scenario):
     cfg, k, grid_size = scenario
     # repr compares every field exactly, with nan equal to nan
@@ -277,6 +306,17 @@ def test_search_zeta_bisects_past_the_nu2_prune(monkeypatch):
         for R in np.linspace(0.0, 1.5, 31):
             search_zeta(_preset(M, float(R), case="nodirect"), 0)
     assert len(calls) < 1600
+
+
+def test_search_zeta_skips_runs_of_infeasible_splits(monkeypatch):
+    # every split fails the primary here; testing each split past the nu2
+    # bisection took 50,338 nu1 sums at grid_size 10^5
+    calls = []
+    real = cogrelay.qos._nu1
+    monkeypatch.setattr(cogrelay.qos, "_nu1", lambda *args: calls.append(args) or real(*args))
+    cfg = SystemConfig(M=4, gamma_p=3.0, gamma_s=30.0, R=1.0, case="nodirect", lambda_p=0.3)
+    assert not search_zeta(cfg, 0, grid_size=10**5).feasible
+    assert len(calls) <= 64
 
 
 def test_search_zeta_scan_matches_public_functions(monkeypatch):
@@ -348,8 +388,9 @@ def test_search_zeta_builds_at_most_one_config(monkeypatch):
 
 def test_search_zeta_builds_pmf_only_for_nu1(monkeypatch):
     # the K < 2 prune reads a scalar mass, so every pmf list built over the
-    # 93 fig2 searches feeds a case-2 nu1 sum; a list per split that reaches
-    # the prune would be 11,116 of them
+    # 93 fig2 searches feeds a case-2 nu1 sum, of a split or of a run bound;
+    # a list per split that reaches the prune would be 11,116 of them, and
+    # one per split past the prunes, without run bounds, 572
     counts = {"pmf": 0, "nu1": 0}
 
     def counted(name, fn):
@@ -364,7 +405,7 @@ def test_search_zeta_builds_pmf_only_for_nu1(monkeypatch):
     for M in (4, 5, 6):
         for R in np.linspace(0.0, 1.5, 31):
             search_zeta(_preset(M, float(R), case="nodirect"), 0)
-    assert counts == {"pmf": 572, "nu1": 572}
+    assert counts == {"pmf": 550, "nu1": 550}
 
 
 def test_split_threshold_is_thresholds_bit_for_bit():
