@@ -72,8 +72,17 @@ def effective_gain(h_pd: np.ndarray, h_sd: np.ndarray, mask: np.ndarray) -> np.n
 
     alpha = sum|h_pd|^2 - |<h_sd, h_pd>|^2 / sum|h_sd|^2 over the masked
     relays; rows whose masked h_sd is numerically null (or with fewer than
-    one relay) get alpha = 0, matching the zero-gain fallback.
+    one relay) get alpha = 0, matching the zero-gain fallback.  h_pd and
+    h_sd must be 2-D arrays of one shape and mask a bool array of that shape,
+    else ValueError.  Entries are not checked: a NaN outside the mask is
+    ignored, one in a row's masked h_sd gives that row alpha = 0 (its norm
+    fails the null test), and one only in its masked h_pd gives alpha = NaN.
     """
+    h_pd, h_sd, mask = np.asarray(h_pd), np.asarray(h_sd), np.asarray(mask)
+    if h_pd.ndim != 2 or not h_pd.shape == h_sd.shape == mask.shape or mask.dtype != bool:
+        raise ValueError("h_pd and h_sd must be 2-D arrays of one shape and mask a bool "
+                         f"array of that shape, got shapes {h_pd.shape}, {h_sd.shape} "
+                         f"and {mask.shape} ({mask.dtype})")
     pd, sd = (np.where(mask, h, np.complex128(0.0)) for h in (h_pd, h_sd))
     a2, b2 = (np.einsum("ij,ij->i", v, v) for v in (pd.view(np.float64), sd.view(np.float64)))
     ip = np.einsum("ij,ij->i", np.conjugate(sd, out=sd), pd)

@@ -49,8 +49,7 @@ class SystemConfig:
         object.__setattr__(self, "lambda_s", _as_reals("lambda_s", targets))
         if not (0.0 < self.gamma_p < math.inf and 0.0 < self.gamma_s < math.inf):
             raise ValueError(f"SNRs must be finite and > 0, got {self.gamma_p} and {self.gamma_s}")
-        if not math.isfinite(self.R) or self.R < 0:
-            raise ValueError(f"rate must be finite and nonnegative, got R={self.R}")
+        _check_rate(self.R)
         if not 0.0 < self.zeta < 1.0:
             raise ValueError(f"zeta must lie strictly inside (0, 1), got {self.zeta}")
         if self.case is Case.DIRECT_LINK:     # the direct-link protocol halves the slot
@@ -95,6 +94,12 @@ def _as_reals(name: str, xs) -> tuple:
         return tuple(_as_real(name, x) for x in xs)
     except TypeError:
         raise ValueError(f"{name} must be a sequence of reals, got {xs!r}") from None
+
+
+def _check_rate(R: float) -> None:
+    """ValueError unless the primary rate R is finite and nonnegative."""
+    if not math.isfinite(R) or R < 0:
+        raise ValueError(f"rate must be finite and nonnegative, got R={R}")
 
 
 def _split_threshold(R: float, zeta: float, forward: bool = False) -> float:

@@ -4,7 +4,11 @@ An empirical slope is the least-squares line through the top half of the
 (log gamma, log nu) points, summed in floats as
 fsum((x - x_mean)(y - y_mean)) / fsum((x - x_mean)^2).  For the few points
 a fit takes (4 of the CLI's 7), that costs less than a numpy fit's call
-overhead.
+overhead.  A closed-form fit varies only R and gamma_p, so it builds no
+config per point: `analytic._outage_parts` gives each point's nu1 and nu2
+from the thresholds, through the nu1 kernel `analytic._nu1` that
+`outage_probability` and `qos.search_zeta` share, and nu is their sum
+clipped into [0, 1], bit for bit `outage_probability`'s.
 """
 from __future__ import annotations
 
@@ -14,9 +18,9 @@ from math import fsum, inf, log, log2
 
 import numpy as np
 
-from .analytic import outage_probability
+from .analytic import _clip_unit, _outage_parts
 from .channel import _PHILOX_KEYS
-from .config import Case, SystemConfig, _as_index, _as_real, _as_reals
+from .config import Case, SystemConfig, _as_index, _as_real, _as_reals, _check_rate
 from .simulate import estimate_outage
 
 
@@ -101,9 +105,15 @@ def empirical_diversity(cfg: SystemConfig, r: float, gamma_grid,
     if x[0] == x[-1]:
         raise DegenerateFit(f"the top of gamma_grid, {fit[0]:g}..{fit[-1]:g}, "
                             "spans no range of log gamma")
-    cfgs = [replace(cfg, gamma_p=g, R=cfg.R if r == 0.0 else r * log2(g)) for g in fit]
-    nus = [outage_probability(c).nu for c in cfgs]
+    rates = [cfg.R if r == 0.0 else r * log2(g) for g in fit]
+    for R in rates:
+        _check_rate(R)
+    nus = []
+    for g, R in zip(fit, rates):       # outage_probability's nu, with no config per point
+        nu1, nu2 = _outage_parts(cfg, R, g)
+        nus.append(_clip_unit(nu1 + nu2))
     if source is DiversitySource.MONTE_CARLO:
+        cfgs = [replace(cfg, gamma_p=g, R=R) for g, R in zip(fit, rates)]
         trials = [int(max(_MC_MIN_TRIALS, 100.0 / max(nu, 1e-12))) for nu in nus]
         if sum(trials) > _MC_MAX_SLOTS:
             raise DegenerateFit(f"Monte Carlo fit plans {sum(trials):.3g} slots, "

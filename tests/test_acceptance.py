@@ -35,9 +35,13 @@ def _draw(rs, shape):
 
 
 def _mc_grid(case, base_seed):
-    """worst |z| over the stress grid at 1e6 slots per point."""
+    """(worst |z|, where it fell, points) over the stress grid at 1e6 slots per point.
+
+    Where names the worst point and its Monte Carlo seed base_seed + row, so
+    that one `estimate_outage` call replays it.
+    """
     zetas = (0.4, 0.5, 0.6) if case == "nodirect" else (0.5,)
-    worst, row = 0.0, 0
+    worst, where, row = 0.0, "every point exact", 0
     for M in (3, 4, 6):
         for g in (10.0, 50.0, 200.0):
             for R in (0.25, 0.5, 1.0):
@@ -49,21 +53,24 @@ def _mc_grid(case, base_seed):
                                         workers=2).primary.p_hat
                     se = math.sqrt(nu * (1.0 - nu) / MC_TRIALS)
                     dev = abs(p - nu) / se if se > 0 else (0.0 if p == nu else math.inf)
+                    if dev > worst:
+                        where = (f"M={M}, gamma_p={g:g}, R={R:g}, zeta={cfg.zeta:g}, "
+                                 f"MC seed {base_seed}+{row}")
                     worst = max(worst, dev)
                     row += 1
-    return worst, row
+    return worst, where, row
 
 
 def test_criterion_1_closed_form_vs_mc_direct_link(capsys):
-    worst, points = _mc_grid("direct", SEED_CASE1)
+    worst, where, points = _mc_grid("direct", SEED_CASE1)
     _report(capsys, 1, "closed form vs Monte Carlo, direct link", worst <= 3.0,
-            f"worst |z| = {worst:.2f} over {points} grid points at N=10^6")
+            f"worst |z| = {worst:.2f} ({where}) over {points} grid points at N=10^6")
 
 
 def test_criterion_2_closed_form_vs_mc_no_direct_link(capsys):
-    worst, points = _mc_grid("nodirect", SEED_CASE2)
+    worst, where, points = _mc_grid("nodirect", SEED_CASE2)
     _report(capsys, 2, "closed form vs Monte Carlo, no direct link", worst <= 3.0,
-            f"worst |z| = {worst:.2f} over {points} grid points at N=10^6")
+            f"worst |z| = {worst:.2f} ({where}) over {points} grid points at N=10^6")
 
 
 def test_criterion_3_phi_average_identity(capsys):

@@ -578,6 +578,72 @@ def test_case1_hypergeometric_recurrence_vs_mpmath():
                 assert math.isclose(h[k], ref, rel_tol=1e-13), (n, a, k, h[k], ref)
 
 
+def _log_seed_rule(n, b):
+    """The documented rule for `_case1_h`'s log-form seed, restated from its docstring."""
+    if n * b > 1.0:
+        return False
+    a = 1.0 - b
+    lb = -math.log(b)
+    tail = lb - math.fsum(a**i / i for i in range(1, n + 1))
+    return (n + 1) * b <= 0.5 or 8.0 * tail >= lb > 0.0
+
+
+def _log_seed_boundary(n):
+    """(lo, hi), one ulp-scale bracket around the largest b the rule gives the log form at n."""
+    lo, hi = 0.5 / (n + 1), min(1.0, 1.0 / n * (1.0 + 1e-12))
+    assert _log_seed_rule(n, lo) and not _log_seed_rule(n, hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _log_seed_rule(n, mid) else (lo, mid)
+    return lo, hi
+
+
+def test_case1_log_seed_boundary_vs_mpmath(monkeypatch):
+    # the log-form seed reaches past (n+1) b = 1/2 up to n b = 1 or until its
+    # subtraction would keep less than 1/8 of -ln b; on both sides of where it
+    # stops, each h_k agrees with mpmath
+    mpmath = pytest.importorskip("mpmath")
+    sums = []                 # only the seed series calls fsum
+    monkeypatch.setattr(analytic, "fsum", lambda xs: sums.append(1) or math.fsum(xs))
+    for n in (1, 2, 3, 4, 8, 25, 38, 98, 300, 499, 1022):
+        lo, hi = _log_seed_boundary(n)
+        ks = range(1, n + 1) if n <= 40 else sorted(
+            {1, 2, n // 4, n // 2, 3 * n // 4, n - 1, n})
+        for b, log_form in ((lo * (1.0 - 1e-6), True), (hi * (1.0 + 1e-6), False)):
+            a = 1.0 - b
+            sums.clear()
+            h = analytic._case1_h(n, a, 1.0 - a)
+            assert len(sums) == (0 if log_form else 1), (n, b)
+            with mpmath.workdps(30):
+                for k in ks:
+                    ref = float(mpmath.hyp2f1(1, k, n + 2, a))
+                    assert math.isclose(h[k], ref, rel_tol=1e-13), (n, a, k, h[k], ref)
+
+
+def test_case1_log_seed_sweep_vs_mpmath(monkeypatch):
+    # seeded draws past the old bound (n+1) b = 1/2 that the log-form seed
+    # now takes: every checked h_k is within 5e-15 of 40-digit mpmath
+    mpmath = pytest.importorskip("mpmath")
+    sums = []
+    monkeypatch.setattr(analytic, "fsum", lambda xs: sums.append(1) or math.fsum(xs))
+    rng = np.random.default_rng(34)
+    worst, draws = 0.0, 0
+    while draws < 60:
+        n = int(rng.integers(1, 41) if draws % 2 else rng.integers(1, 301))
+        a = 1.0 - rng.uniform(0.5 / (n + 1), _log_seed_boundary(n)[0])
+        if (n + 1) * (1.0 - a) <= 0.5 or not _log_seed_rule(n, 1.0 - a):
+            continue
+        h = analytic._case1_h(n, a, 1.0 - a)
+        assert sums == [], (n, a)
+        draws += 1
+        ks = range(1, n + 1) if n <= 40 else sorted({1, 2, n // 4, n // 2, 3 * n // 4, n})
+        with mpmath.workdps(40):
+            for k in ks:
+                ref = mpmath.hyp2f1(1, k, n + 2, a)
+                worst = max(worst, float(abs((h[k] - ref) / ref)))
+    assert worst <= 5e-15, worst
+
+
 @pytest.mark.parametrize("M", [3, 6, 40])
 def test_case1_seeds_one_row_per_call(monkeypatch, M):
     calls = []

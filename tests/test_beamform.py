@@ -127,6 +127,26 @@ def test_effective_gain_matches_scalar_path():
             assert alpha[i] == 0.0 or alpha[i] < 1e-12
 
 
+def test_effective_gain_rejects_bad_shapes():
+    rng = substream(8, 1)
+    h = _draw(rng, 12).reshape(4, 3)
+    mask = np.ones((4, 3), dtype=bool)
+    bad = [(h[0], h[0], mask[0]),                    # 1-D: one slot's relays
+           (h, h, mask[0]), (h, h[:3], mask), (h, h, mask.T),
+           (h[None], h[None], mask[None]),           # 3-D
+           (h, h, mask.astype(int)), (h, h, mask.astype(float))]
+    for h_pd, h_sd, m in bad:
+        with pytest.raises(ValueError, match="2-D arrays of one shape"):
+            effective_gain(h_pd, h_sd, m)
+    # entries are not checked: NaN outside the mask is ignored, in a masked
+    # h_sd it zeroes the row, only in a masked h_pd it gives NaN
+    h_pd, h_sd, mask[3, 2] = h.copy(), h[::-1].copy(), False
+    h_pd[0, 0] = h_sd[1, 0] = h_pd[3, 2] = h_sd[3, 2] = np.nan
+    alpha = effective_gain(h_pd, h_sd, mask)
+    assert math.isnan(alpha[0]) and alpha[1] == 0.0
+    assert alpha[3] == effective_gain(h[3:, :2], h[::-1][3:, :2], mask[3:, :2])[0]
+
+
 def test_fused_gain_matches_reference():
     # drawn blocks at gamma_p = 5, where K = 0 and K = 1 rows occur; the
     # fused gain must equal the |h|^2-temporary reference to 1e-14 of the

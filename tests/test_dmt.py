@@ -165,8 +165,9 @@ def test_degenerate_fit():
 def test_fit_evaluates_only_the_points_it_fits(monkeypatch):
     # a 7-point grid fits its top 4 points, and only those reach the closed form
     gammas = []
-    monkeypatch.setattr(dmt, "outage_probability",
-                        lambda c: gammas.append(c.gamma_p) or outage_probability(c))
+    parts = dmt._outage_parts
+    monkeypatch.setattr(dmt, "_outage_parts",
+                        lambda c, R, g: gammas.append(g) or parts(c, R, g))
     grid = np.logspace(2, 5, 7)
     for r in (0.0, 0.25):
         gammas.clear()
@@ -177,6 +178,63 @@ def test_fit_evaluates_only_the_points_it_fits(monkeypatch):
     for low in (1.0, 0.5):
         assert (empirical_diversity(_cfg(), 0.1, [low, 10.0, 1e2, 1e3])
                 == empirical_diversity(_cfg(), 0.1, [2.0, 10.0, 1e2, 1e3]))
+
+
+def test_fit_nu_is_outage_probability_bit_for_bit(monkeypatch):
+    # the fit forms each point's nu from the thresholds, as outage_probability
+    # does from a config; on random configs of both cases the two agree bit for bit
+    nus = []
+    clip = dmt._clip_unit
+    monkeypatch.setattr(dmt, "_clip_unit", lambda x: nus.append(clip(x)) or nus[-1])
+    rng = np.random.default_rng(34)
+    for case, _ in itertools.product(("direct", "nodirect"), range(40)):
+        cfg = SystemConfig(M=int(rng.choice([2, 3, 4, 6, 10, 40, 200])),
+                           gamma_p=50.0, gamma_s=10.0 ** rng.uniform(-2, 4),
+                           R=rng.uniform(0.0, 1.5), case=case, zeta=rng.uniform(0.1, 0.9))
+        grid = 10.0 ** np.cumsum(rng.uniform(0.1, 1.0, int(rng.integers(3, 8))))
+        r = rng.choice([0.0, rng.uniform(0.0, multiplexing_limit(cfg))])
+        nus.clear()
+        try:
+            empirical_diversity(cfg, r, grid)
+        except DegenerateFit:
+            pass                 # an outage that underflows to 0: nu is compared all the same
+        fit = grid[len(grid) // 2:]
+        ref = [outage_probability(replace(cfg, gamma_p=g, R=cfg.R if r == 0.0 else r * math.log2(g))).nu
+               for g in fit]
+        assert len(nus) == len(fit), (cfg, r, grid)
+        assert [v.hex() for v in nus] == [v.hex() for v in ref], (cfg, r, grid)
+
+
+def test_closed_form_fit_builds_no_config(monkeypatch):
+    # a closed-form fit varies only R and gamma_p, so it builds no SystemConfig;
+    # the Monte Carlo source still builds one per fitted point for estimate_outage
+    built = []
+    post_init = SystemConfig.__post_init__
+    monkeypatch.setattr(SystemConfig, "__post_init__", lambda c: built.append(c) or post_init(c))
+    grid = np.logspace(2, 4, 7)
+    for case, r in itertools.product(("direct", "nodirect"), (0.0, 0.25)):
+        cfg = _cfg(case, zeta=0.4)
+        built.clear()
+        empirical_diversity(cfg, r, grid)
+        assert built == []
+    monkeypatch.setattr(dmt, "estimate_outage", _closed_form_draws([]))
+    cfg = _cfg(M=2)
+    built.clear()
+    empirical_diversity(cfg, 0.0, [1e3, 1e4, 1e5], source="monte_carlo")
+    assert [c.gamma_p for c in built] == [1e4, 1e5]
+
+
+def test_fitted_negative_rate_raises_before_any_outage(monkeypatch):
+    # R = r log2(gamma) < 0 at a fitted gamma below 1 is the config's ValueError,
+    # raised before any point is evaluated
+    def no_outage(*args):
+        raise AssertionError("an outage was evaluated")
+    monkeypatch.setattr(dmt, "_outage_parts", no_outage)
+    for case in ("direct", "nodirect"):
+        with pytest.raises(ValueError, match="rate must be finite and nonnegative, got R=-"):
+            empirical_diversity(_cfg(case), 0.1, [0.1, 0.2, 0.5, 0.9])
+        with pytest.raises(ValueError, match="rate must be finite and nonnegative, got R=-"):
+            empirical_diversity(_cfg(case), 0.1, [0.1, 0.2, 0.5, 2.0])
 
 
 def _no_draws(*args, **kwargs):

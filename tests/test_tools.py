@@ -68,6 +68,8 @@ def test_op_digest_canon_fixes_every_bit():
     forms = {repr(canon(np.array(values, dtype=t)))
              for t in (np.float64, np.float32, np.int64, np.int32)}
     assert len(forms) == 4
+    # a numpy scalar keeps its dtype, even where its value and float's agree
+    assert len({repr(canon(x)) for x in (np.float32(0.5), np.float64(0.5), 0.5)}) == 3
     # a dataclass holding NaN gives the same structure every time, although
     # NaN equals nothing, itself included
     sol = QosSolution(feasible=False, omega=(math.nan, math.nan), zeta=math.nan,

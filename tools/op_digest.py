@@ -6,9 +6,9 @@ ROOT is a cogrelay checkout.  For each workload of ROOT/perfbench and each
 seed, one pass runs the seed's op list against ROOT/src and prints one line:
 workload, seed, op count, failed ops (an op that raises or fails its checks,
 as the benchmark counts it) and a sha256 over every op's result, or its
-exception, with floats in hex and arrays as their raw bytes.  Run it on two
-checkouts and compare the lines.  ROOT/perfbench is only imported: no
-bytecode is written there.
+exception, with floats in hex and arrays and numpy scalars as their dtype
+and raw bytes.  Run it on two checkouts and compare the lines.
+ROOT/perfbench is only imported: no bytecode is written there.
 """
 from __future__ import annotations
 
@@ -27,10 +27,12 @@ def _canon(x):
                                   for f in dataclasses.fields(x)]
     if isinstance(x, np.ndarray):
         return "ndarray", x.dtype.str, x.shape, x.tobytes().hex()
+    if isinstance(x, np.generic):     # a numpy scalar keeps its dtype: float32(0.5) is no 0.5
+        return x.dtype.str, x.tobytes().hex()
     if isinstance(x, (tuple, list)):
         return [_canon(v) for v in x]
-    if isinstance(x, (float, np.floating)):
-        return float(x).hex()
+    if isinstance(x, float):
+        return x.hex()
     return repr(x)
 
 
