@@ -39,9 +39,12 @@ The Gamma(n, 1) beamforming gain enters both through Poisson terms: the pmf
 and the tails P(n, x) = Pr{Poisson(x) >= n}, the regularized incomplete
 gamma at integer order.  One routine, `_poisson`, gives both closed forms
 their Poisson pmf and tails as finite sums of positive terms, with no scipy.
-One kernel, `_nu1`, fed the relay-count pmf by `channel._binomial_pmf`, gives
-nu1 to `outage_probability`, `qos.search_zeta` and, through `_outage_parts`,
-the closed-form fits of `dmt.empirical_diversity`.
+One kernel, `_nu1`, fed the relay-count pmf by `_binomial_pmf`, gives nu1 to
+`outage_probability`, `qos.search_zeta` and, through `_outage_parts`, the
+closed-form fits of `dmt.empirical_diversity`; `_nu_small_k` gives them nu2
+and `_nu` their clipped sum.  The decoding-set law lives here, not in the
+Monte Carlo's `channel`: this module imports only `config`, so the closed
+forms and the simulation they are checked against share no code past it.
 """
 from __future__ import annotations
 
@@ -50,7 +53,6 @@ from dataclasses import dataclass
 from math import comb, exp, expm1, fsum, inf, lgamma, log, log1p, pi
 from sys import float_info
 
-from .channel import _binomial_pmf, _small_k_mass
 from .config import Case, SystemConfig, _split_threshold
 
 _log = logging.getLogger(__name__)
@@ -75,17 +77,21 @@ class OutageBreakdown:
     nu: float     # nu1 + nu2 clipped into [0, 1]
 
 
-def _clip_unit(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
+def _nu(nu1: float, nu2: float) -> float:
+    """nu1 + nu2 clipped into [0, 1]: the one clip of every closed-form nu, logged when it bites.
+
+    Each part, like their sum, can round a few ulp past 1.
+    """
+    total = nu1 + nu2
+    nu = min(max(total, 0.0), 1.0)
+    if nu != total:
+        _log.debug("clipped nu1+nu2 = %r to %r", total, nu)
+    return nu
 
 
 def _breakdown(nu1: float, nu2: float) -> OutageBreakdown:
-    total = nu1 + nu2
-    # each part, like their sum, can round a few ulp past 1
-    nu = _clip_unit(total)
-    if nu != total:
-        _log.debug("clipped nu1+nu2 = %r to %r", total, nu)
-    return OutageBreakdown(nu1=_clip_unit(nu1), nu2=_clip_unit(nu2), nu=nu)
+    return OutageBreakdown(nu1=min(max(nu1, 0.0), 1.0), nu2=min(max(nu2, 0.0), 1.0),
+                           nu=_nu(nu1, nu2))
 
 
 def _log_poisson_pmf(j: int, x: float) -> float:
@@ -143,26 +149,29 @@ def _poisson(n: int, x: float) -> tuple[list, list]:
 
 
 def _log_moments(n_max: int, gamma_s: float) -> list:
-    """log(E[(1+phi)^n]/n!) for n = 0..n_max, phi ~ Exponential(mean gamma_s).
+    """log u_n, u_n = E[(1+phi)^n]/n!, for n = 0..n_max, phi ~ Exponential(mean gamma_s).
 
-    E[(1+phi)^n]/n! = sum_{i<=n} gamma_s^(n-i)/i! overflows for large n, so
-    for gamma_s > 1 it is kept as gamma_s^n r_n with r_n = sum_{i<=n}
-    gamma_s^-i/i! in [1, e]; otherwise the moment E_n = 1 + n gamma_s E_{n-1}
-    itself stays below e*n!.
+    u_n = sum_{i<=n} gamma_s^(n-i)/i! = gamma_s u_{n-1} + 1/n! overflows or
+    underflows as it stands for large n, so one loop keeps it as its largest
+    term times a factor in [1, n+1], anchored at J = floor(1/gamma_s) (at
+    most n_max), where the term ratio gamma_s i crosses 1.  Up to J the
+    largest term is 1/n! and the factor is E_n = n! u_n = 1 + n gamma_s
+    E_{n-1}, each step multiplying by n gamma_s <= 1.  Past J it is
+    gamma_s^(n-J)/J!, and the factor adds t_n = t_{n-1}/(n gamma_s) < 1 to
+    E_J, with t_J = 1.  For gamma_s > 1, J = 0 and that factor is
+    sum_{i<=n} gamma_s^-i/i!, in [1, e].
     """
-    out = [0.0]
-    if gamma_s > 1.0:
-        log_g = log(gamma_s)
-        term = r = 1.0
-        for n in range(1, n_max + 1):
-            term /= n * gamma_s
-            r += term
-            out.append(n * log_g + log(r))
-    else:
-        e = 1.0
-        for n in range(1, n_max + 1):
+    J = int(min(1.0 / gamma_s, n_max))     # 1/gamma_s is inf for the least subnormals
+    log_g, log_fact_J = log(gamma_s), lgamma(J + 1)
+    out, e, term = [0.0], 1.0, 1.0
+    for n in range(1, n_max + 1):
+        if n <= J:
             e = 1.0 + n * gamma_s * e
             out.append(log(e) - lgamma(n + 1))
+        else:
+            term /= n * gamma_s
+            e += term
+            out.append((n - J) * log_g - log_fact_J + log(e))
     return out
 
 
@@ -174,9 +183,14 @@ def _log_pow(x: float, n: int) -> float:
 
 
 def _exp(x: float) -> float:
-    """exp(x), saturating to inf where math.exp raises OverflowError."""
+    """exp(x), saturating to inf where math.exp raises OverflowError, and inf for NaN.
+
+    In `outage_highsnr` a log term is NaN only as inf - inf: one threshold
+    overflowed to inf while the other underflowed to 0.  The term with the
+    inf threshold alone to a positive power is then inf, and so is the sum.
+    """
     try:
-        return exp(x)
+        return exp(x) if x == x else inf
     except OverflowError:
         return inf
 
@@ -187,7 +201,17 @@ def _interference_map(cg: float) -> tuple[float, float]:
     return (cg * b if cg <= 1.0 else 1.0 - b), b
 
 
-# --- case 1: direct link + MRC ------------------------------------------
+# --- decoding set --------------------------------------------------------
+
+
+def _binomial_pmf(m: int, q: float) -> list:
+    """Pr{K = k}, k = 0..m, for K ~ Binomial(m, L) relays decoding, L = e^-q.
+
+    Each of m relays decodes the broadcast independently with probability
+    L = Pr{|h|^2 >= q} = e^-q; 1 - L is -expm1(-q), exact as q -> 0.
+    """
+    L, L_bar = exp(-q), -expm1(-q)
+    return [comb(m, K) * L**K * L_bar ** (m - K) for K in range(m + 1)]
 
 
 def _nu_small_k(cfg: SystemConfig, q: float) -> float:
@@ -196,8 +220,13 @@ def _nu_small_k(cfg: SystemConfig, q: float) -> float:
     With a direct link that hop runs at the broadcast's rate 2R, so it fails
     with probability 1 - e^-q at the same q.
     """
-    p_lt2 = _small_k_mass(cfg.M - 1, q)
-    return p_lt2 * -expm1(-q) if cfg.case is Case.DIRECT_LINK else p_lt2
+    m, L, L_bar = cfg.M - 1, exp(-q), -expm1(-q)
+    # pmf[0] + pmf[1] of `_binomial_pmf(m, q)` bit for bit, with no list; 1 at m = 1
+    p_lt2 = L_bar**m + m * L * L_bar ** (m - 1) if m > 1 else 1.0
+    return p_lt2 * L_bar if cfg.case is Case.DIRECT_LINK else p_lt2
+
+
+# --- case 1: direct link + MRC ------------------------------------------
 
 
 def _case1_h(n: int, a: float, b: float) -> list:
@@ -389,11 +418,12 @@ def outage_highsnr(cfg: SystemConfig) -> float:
     sum_{K=1..M-1} C(M-1,K) Q_b^{M-1-K} Q_f^{K-1+d} E[(1+phi)^{K-1}]/((K-1)! K^d),
     with Q_b and Q_f the broadcast- and forward-phase thresholds.  The direct
     link (d = 1, Q_b = Q_f = Q) adds one power of Q, so the sum is of order
-    gamma^-(M-1) with it and gamma^-(M-2) without.  Terms are formed in logs:
-    for large M the moments overflow while the Q powers underflow.  It is an
-    asymptote, not a bound: far from high SNR it can exceed 1 or be inf, as at
-    M = 1024, gamma_s = 1e4 and gamma_p = 50, which the CLI's outage-curve
-    prints as its nu_highsnr.
+    gamma^-(M-1) with it and gamma^-(M-2) without.  Terms are formed in logs
+    (`_log_moments`): for large M the moments overflow while the Q powers
+    underflow.  So it is finite for every gamma_s > 0 unless its true value
+    leaves the float range.  It is an asymptote, not a bound: far from high
+    SNR it can exceed 1 or be inf, as at M = 1024, gamma_s = 1e4 and
+    gamma_p = 50, which the CLI's outage-curve prints as its nu_highsnr.
     """
     d = 1 if cfg.case is Case.DIRECT_LINK else 0
     q_b, q_f = (thr / cfg.gamma_p for thr in cfg.thresholds())

@@ -1,4 +1,4 @@
-"""Rayleigh block-fading channel model and decoding-set statistics.
+"""Rayleigh block-fading channel model and the decoding set it draws.
 
 All links are i.i.d. circularly-symmetric complex Gaussian with unit
 average power: h = (x + jy)/sqrt(2) with x, y standard normal.  Fading is
@@ -13,12 +13,13 @@ zero-forcing gain is their projection, never a draw from its Gamma law.
 
 A block's power gains are drawn whole; its complex normals can be drawn in
 row chunks, which the Monte Carlo folds one at a time.  Either way a block
-holds the same samples.
+holds the same samples.  The decoding set's Binomial law is the closed
+forms' own (`analytic._binomial_pmf`): the Monte Carlo that checks them
+shares no code with them past `config`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, exp, expm1
 
 import numpy as np
 
@@ -100,16 +101,4 @@ def decode_mask(cfg: SystemConfig, block: ChannelBlock) -> np.ndarray:
     equality); the block holds that power gain directly.
     """
     return cfg.gamma_p * block.h_p_relay >= cfg.thresholds()[0]
-
-
-def _binomial_pmf(m: int, q: float) -> list:
-    """Binomial(m, e^-q) pmf as floats; 1 - e^-q is -expm1(-q), exact as q -> 0."""
-    L, L_bar = exp(-q), -expm1(-q)
-    return [comb(m, K) * L**K * L_bar ** (m - K) for K in range(m + 1)]
-
-
-def _small_k_mass(m: int, q: float) -> float:
-    """Pr{K < 2}: pmf[0] + pmf[1] of `_binomial_pmf(m, q)` bit for bit, with no list; 1 at m = 1."""
-    L, L_bar = exp(-q), -expm1(-q)
-    return L_bar**m + m * L * L_bar ** (m - 1) if m > 1 else 1.0
 

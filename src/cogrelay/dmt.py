@@ -7,8 +7,8 @@ a fit takes (4 of the CLI's 7), that costs less than a numpy fit's call
 overhead.  A closed-form fit varies only R and gamma_p, so it builds no
 config per point: `analytic._outage_parts` gives each point's nu1 and nu2
 from the thresholds, through the nu1 kernel `analytic._nu1` that
-`outage_probability` and `qos.search_zeta` share, and nu is their sum
-clipped into [0, 1], bit for bit `outage_probability`'s.
+`outage_probability` and `qos.search_zeta` share, and `analytic._nu` clips
+their sum into [0, 1], bit for bit `outage_probability`'s nu.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from math import fsum, inf, log, log2
 
 import numpy as np
 
-from .analytic import _clip_unit, _outage_parts
+from .analytic import _nu, _outage_parts
 from .channel import _PHILOX_KEYS
 from .config import Case, SystemConfig, _as_index, _as_real, _as_reals, _check_rate
 from .simulate import estimate_outage
@@ -108,10 +108,8 @@ def empirical_diversity(cfg: SystemConfig, r: float, gamma_grid,
     rates = [cfg.R if r == 0.0 else r * log2(g) for g in fit]
     for R in rates:
         _check_rate(R)
-    nus = []
-    for g, R in zip(fit, rates):       # outage_probability's nu, with no config per point
-        nu1, nu2 = _outage_parts(cfg, R, g)
-        nus.append(_clip_unit(nu1 + nu2))
+    # outage_probability's nu, with no config per point
+    nus = [_nu(*_outage_parts(cfg, R, g)) for g, R in zip(fit, rates)]
     if source is DiversitySource.MONTE_CARLO:
         cfgs = [replace(cfg, gamma_p=g, R=R) for g, R in zip(fit, rates)]
         trials = [int(max(_MC_MIN_TRIALS, 100.0 / max(nu, 1e-12))) for nu in nus]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import exp, fsum, nan
 
-from .analytic import InvalidCase, _clip_unit, _nu1, _nu_small_k, outage_probability
+from .analytic import InvalidCase, _nu, _nu1, _nu_small_k, outage_probability
 from .config import Case, SystemConfig, _as_index, _split_threshold
 
 
@@ -175,7 +175,7 @@ def search_zeta(cfg: SystemConfig, k: int, grid_size: int = 999) -> QosSolution:
                 width = (j - i + 1) // 2      # bisect: its left half next
                 continue
         elif cfg.lambda_p <= 1.0 - min(nu2, 1.0):
-            nu = _clip_unit(_nu1(cfg, q, thr_f / cfg.gamma_p) + nu2)
+            nu = _nu(_nu1(cfg, q, thr_f / cfg.gamma_p), nu2)
             if cfg.lambda_p <= 1.0 - nu:
                 return _solve(replace(cfg, zeta=i / n), k, nu)[0]
         i, o = j + 1, j - lo          # o splits past lo are done

@@ -5,10 +5,12 @@ share code with the implementation — hand-derived special cases (M = 2, 3),
 direct scipy quadrature of the defining integrals, or conditional Monte
 Carlo with fixed seeds.  No expected value is copied out of the library.
 """
+import ast
 import itertools
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from cogrelay import (Case, InvalidCase, SystemConfig, case1_outage,
                       case2_outage, effective_gain,
                       outage_highsnr, outage_probability, substream)
 from cogrelay import analytic
-from cogrelay.channel import _binomial_pmf
+from cogrelay.analytic import _binomial_pmf
 from oracles import (SeriesNotConverged, _case1_bracket, average_over_phi,
                      case1_outage_given_phi, case2_outage_given_phi,
                      case2_nu1_mp, outage_highsnr_direct, outage_mp, snr_threshold)
@@ -34,6 +36,33 @@ def _cfg(M=4, gamma_p=50.0, gamma_s=30.0, R=0.5, case="direct", zeta=0.5):
 
 def _draw(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
+
+
+# ------------------------------------------------------------ the engine boundary
+
+def _package_imports(module):
+    """The cogrelay modules that src/cogrelay/<module>.py imports from, by its AST."""
+    tree = ast.parse(Path(analytic.__file__).with_name(f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or
+                                                 (node.module or "").startswith("cogrelay")):
+            base = (node.module or "").removeprefix("cogrelay").strip(".")
+            found.update([base] if base else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.removeprefix("cogrelay.") for alias in node.names
+                         if alias.name.split(".")[0] == "cogrelay")
+    return found
+
+
+def test_closed_forms_and_monte_carlo_share_only_config():
+    # the closed forms and the Monte Carlo that checks them are independent
+    # engines: analytic reads only config, and no simulation module reads the
+    # closed forms or their consumers
+    assert _package_imports("analytic") == {"config"}
+    for module in ("channel", "beamform", "simulate"):
+        assert not _package_imports(module) & {"analytic", "qos", "dmt", "cogrelay"}, module
+    assert _package_imports("simulate") >= {"channel", "config"}     # the parser sees imports
 
 
 # ---------------------------------------------------------------- exact special cases
@@ -321,6 +350,43 @@ def test_highsnr_vs_mpmath():
                 assert abs(outage_highsnr(cfg) - ref) <= 1e-12 * ref, (cfg, ref)
 
 
+def test_highsnr_vs_mpmath_at_large_m_and_small_gamma_s():
+    # the moments E[(1+phi)^n]/n! once overflowed for gamma_s <= 1 (inf from
+    # M = 173 at gamma_s = 1, 673 at 0.01); here they come from the O(M)
+    # recurrence u_n = gamma_s u_{n-1} + 1/n!, in 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    checked = 0
+    with mpmath.workdps(50):
+        def thr(rate):
+            return mpmath.mpf(2) ** rate - 1
+
+        for gs in (0.002, 0.01, 0.1, 0.5, 1.0, 30.0):
+            u, inv_fact = [mpmath.mpf(1)], mpmath.mpf(1)
+            for n in range(1, 1023):
+                inv_fact /= n
+                u.append(gs * u[-1] + inv_fact)
+            for (g, R), M in itertools.product(
+                    ((1e3, 0.5), (1e8, 0.05), (1.0, 1.5), (20.0, 0.5)),
+                    (3, 40, 173, 199, 300, 673, 1024)):
+                m, R_mp = M - 1, mpmath.mpf(R)
+                for case, d, zeta, qb, qf in (
+                        ("direct", 1, 0.5, thr(2 * R_mp) / g, thr(2 * R_mp) / g),
+                        ("nodirect", 0, 0.1, thr(R_mp / mpmath.mpf(0.1)) / g,
+                         thr(R_mp / mpmath.mpf(0.9)) / g)):
+                    ref = mpmath.fsum(math.comb(m, K) * qb ** (m - K) * qf ** (K - 1 + d)
+                                      * u[K - 1] / K ** d for K in range(1, M))
+                    if 1e-300 < ref < 1e300:
+                        cfg = _cfg(M=M, gamma_p=g, gamma_s=gs, R=R, case=case, zeta=zeta)
+                        assert abs(outage_highsnr(cfg) - ref) <= 1e-12 * ref, (cfg, ref)
+                        checked += 1
+    assert checked >= 150
+    # at R = 0 every threshold vanishes: 0, but 1 at M = 2 without a direct link
+    for M, gs, case in itertools.product((2, 3, 173, 1024), (5e-324, 0.01, 1.0, 30.0),
+                                         ("direct", "nodirect")):
+        hs = outage_highsnr(_cfg(M=M, gamma_s=gs, R=0.0, case=case))
+        assert hs == (1.0 if (M, case) == (2, "nodirect") else 0.0), (M, gs, case, hs)
+
+
 # ------------------------------------------------------- independent mpmath oracle
 
 def test_closed_forms_match_mpmath_oracle():
@@ -466,13 +532,18 @@ _POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 @given(M=st.integers(2, 1024), case=st.sampled_from(("direct", "nodirect")),
        gamma_p=_POSITIVE, gamma_s=_POSITIVE, R=st.floats(0.0, allow_infinity=False),
        zeta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(M=5, case="nodirect", gamma_p=1e308, gamma_s=30.0, R=1e-20, zeta=1e-25)
+@example(M=200, case="direct", gamma_p=6.4, gamma_s=1.0, R=0.0, zeta=0.5)
 def test_closed_forms_stop_within_time_budget_anywhere(M, case, gamma_p, gamma_s, R, zeta):
-    # the fixed grid above, drawn over the whole documented domain instead
+    # the fixed grid above, drawn over the whole documented domain instead;
+    # the asymptote is never NaN, not even where the broadcast threshold
+    # overflows to inf while the forward one underflows to 0
     cfg = _cfg(M=M, gamma_p=gamma_p, gamma_s=gamma_s, R=R, case=case, zeta=zeta)
     for fn in (outage_probability, outage_highsnr):
         t0 = time.perf_counter()
-        fn(cfg)
+        value = fn(cfg)
         assert time.perf_counter() - t0 < 5.0, (fn.__name__, cfg)
+    assert not math.isnan(value), cfg     # value is the asymptote's, called last
 
 
 def test_extreme_rate_saturates_cleanly():

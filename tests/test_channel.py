@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from cogrelay import Case, SystemConfig, decode_mask, draw_realizations, substream
-from cogrelay.channel import _binomial_pmf, _small_k_mass
+from cogrelay.analytic import _binomial_pmf, _nu_small_k
 from oracles import snr_threshold
 
 
@@ -202,9 +202,11 @@ def test_pmf_keeps_precision_at_tiny_threshold():
 
 
 def test_small_k_mass_is_first_two_pmf_terms_bit_for_bit():
-    # the scalar K < 2 mass that prunes slot splits is the list's pmf[0] + pmf[1]
-    # exactly, from the underflow edge of q through q = inf
+    # the scalar K < 2 mass that prunes slot splits, nu2 without a direct
+    # link, is the list's pmf[0] + pmf[1] exactly, from the underflow edge of
+    # q through q = inf
     for m in (1, 2, 3, 6, 39, 1023):
+        cfg = _cfg("nodirect", M=m + 1)
         for q in (0.0, 5e-324, 1e-300, 1e-16, 0.5, 745.0, 800.0, math.inf):
             pmf = _binomial_pmf(m, q)
-            assert _small_k_mass(m, q) == pmf[0] + pmf[1], (m, q)
+            assert _nu_small_k(cfg, q) == pmf[0] + pmf[1], (m, q)

@@ -184,8 +184,8 @@ def test_fit_nu_is_outage_probability_bit_for_bit(monkeypatch):
     # the fit forms each point's nu from the thresholds, as outage_probability
     # does from a config; on random configs of both cases the two agree bit for bit
     nus = []
-    clip = dmt._clip_unit
-    monkeypatch.setattr(dmt, "_clip_unit", lambda x: nus.append(clip(x)) or nus[-1])
+    nu = dmt._nu
+    monkeypatch.setattr(dmt, "_nu", lambda nu1, nu2: nus.append(nu(nu1, nu2)) or nus[-1])
     rng = np.random.default_rng(34)
     for case, _ in itertools.product(("direct", "nodirect"), range(40)):
         cfg = SystemConfig(M=int(rng.choice([2, 3, 4, 6, 10, 40, 200])),

@@ -12,8 +12,7 @@ from cogrelay import (InvalidCase, PrimaryInfeasible, SecondaryInfeasible,
                       SystemConfig, max_lambda_k,
                       outage_probability, search_zeta, secondary_success_prob,
                       solve_assignment)
-from cogrelay.analytic import _nu_small_k
-from cogrelay.channel import _binomial_pmf
+from cogrelay.analytic import _binomial_pmf, _nu_small_k
 from cogrelay.config import _split_threshold
 from cogrelay.qos import QosSolution, _solve
 from oracles import decoding_q, search_zeta_exhaustive, snr_threshold
@@ -336,7 +335,7 @@ def test_search_zeta_scan_matches_public_functions(monkeypatch):
     qos = cogrelay.qos
     monkeypatch.setattr(qos, "_success_prob", recorder("f", qos._success_prob))
     monkeypatch.setattr(qos, "_nu_small_k", recorder("nu2", qos._nu_small_k))
-    monkeypatch.setattr(qos, "_clip_unit", recorder("nu", qos._clip_unit, 1.0))
+    monkeypatch.setattr(qos, "_nu", recorder("nu", qos._nu, 1.0))
     grid_size = 9
     cfgs = [SystemConfig(M=M, gamma_p=gp, gamma_s=gs, R=R, case="nodirect", lambda_p=1e-300)
             for M in (2, 3, 6, 40, 1024) for R in (0.0, 0.5, 4.0)

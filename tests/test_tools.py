@@ -3,6 +3,7 @@ import importlib.util
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -76,3 +77,27 @@ def test_op_digest_canon_fixes_every_bit():
                       lambda_k_max=0.0, slack=math.nan, k=1)
     assert repr(canon(sol)) == repr(canon(sol)) == repr(canon(replace(sol)))
     assert repr(canon(sol)) != repr(canon(replace(sol, lambda_k_max=-0.0)))
+
+
+def test_op_digest_mc_sha256_reads_the_monte_carlo_fields_alone():
+    # a fake op list: a closed-form op, an mc_outage op returning (closed form,
+    # simulation) and an mc_schedule op returning its simulation
+    def fake_ops(closed, simulated):
+        kinds = ("outage_point", "mc_outage", "mc_schedule")
+        results = {"outage_point": closed, "mc_outage": (closed, simulated),
+                   "mc_schedule": simulated}
+        return SimpleNamespace(
+            load_golden=dict,
+            generate=lambda workload, seed: [SimpleNamespace(id=i, kind=k)
+                                             for i, k in enumerate(kinds)],
+            execute=lambda op, tracer: results[op.kind],
+            check=lambda op, result, golden: ([], []))
+
+    digest = _load("op_digest").digest
+    base = digest(fake_ops(0.5, 0.25), lambda _: None, "w", 1)
+    moved_closed = digest(fake_ops(math.nextafter(0.5, 1.0), 0.25), lambda _: None, "w", 1)
+    moved_mc = digest(fake_ops(0.5, math.nextafter(0.25, 1.0)), lambda _: None, "w", 1)
+    assert base[:2] == moved_closed[:2] == moved_mc[:2] == (3, 0)
+    # a moved closed form changes sha256 alone; a moved sample changes both
+    assert moved_closed[2] != base[2] and moved_closed[3] == base[3]
+    assert moved_mc[2] != base[2] and moved_mc[3] != base[3]

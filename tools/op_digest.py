@@ -5,9 +5,12 @@
 ROOT is a cogrelay checkout.  For each workload of ROOT/perfbench and each
 seed, one pass runs the seed's op list against ROOT/src and prints one line:
 workload, seed, op count, failed ops (an op that raises or fails its checks,
-as the benchmark counts it) and a sha256 over every op's result, or its
+as the benchmark counts it), a sha256 over every op's result, or its
 exception, with floats in hex and arrays and numpy scalars as their dtype
-and raw bytes.  Run it on two checkouts and compare the lines.
+and raw bytes, and an mc_sha256 over the Monte Carlo fields alone: the
+simulation half of each mc_outage result and each mc_schedule result.  Run
+it on two checkouts and compare the lines; equal mc_sha256 with unequal
+sha256 shows unchanged samples while a closed form moved.
 ROOT/perfbench is only imported: no bytecode is written there.
 """
 from __future__ import annotations
@@ -36,23 +39,32 @@ def _canon(x):
     return repr(x)
 
 
+# the Monte Carlo part of each simulating op's result: mc_outage returns
+# (closed-form breakdown, simulation), mc_schedule the simulation alone
+_MC_PART = {"mc_outage": lambda result: result[1], "mc_schedule": lambda result: result}
+
+
 def digest(ops, Tracer, workload: str, seed: int) -> tuple:
-    """(op count, failed ops, sha256 hex) of one pass of the workload's op list."""
+    """(op count, failed ops, sha256 hex, mc_sha256 hex) of one pass of the workload's op list."""
     golden, tracer = ops.load_golden(), Tracer(False)
-    sha, failed = hashlib.sha256(), 0
+    sha, mc_sha, failed = hashlib.sha256(), hashlib.sha256(), 0
     op_list = ops.generate(workload, seed)
     for op in op_list:
+        mc_part = _MC_PART.get(op.kind)
         try:
             result = ops.execute(op, tracer)
         except Exception as err:      # a raising op is a failed op, as in the benchmark
             failed += 1
-            record = ("raised", type(err).__name__, str(err))
+            record = mc_record = ("raised", type(err).__name__, str(err))
         else:
             wrong, missed = ops.check(op, result, golden)
             failed += bool(wrong or missed)
             record = _canon(result)
+            mc_record = _canon(mc_part(result)) if mc_part else None
         sha.update(repr((op.id, record)).encode())
-    return len(op_list), failed, sha.hexdigest()
+        if mc_part:
+            mc_sha.update(repr((op.id, mc_record)).encode())
+    return len(op_list), failed, sha.hexdigest(), mc_sha.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -66,9 +78,9 @@ def main(argv=None) -> int:
     from tracing import Tracer
     for workload in ops.WORKLOADS:
         for seed in map(int, argv[1:]):
-            n, failed, hexdigest = digest(ops, Tracer, workload, seed)
-            print(f"{workload} seed={seed} ops={n} failed={failed} sha256={hexdigest}",
-                  flush=True)
+            n, failed, hexdigest, mc_hexdigest = digest(ops, Tracer, workload, seed)
+            print(f"{workload} seed={seed} ops={n} failed={failed} sha256={hexdigest} "
+                  f"mc_sha256={mc_hexdigest}", flush=True)
     return 0
 
 
