@@ -12,23 +12,22 @@ from .analytic import (InvalidCase, OutageBreakdown, QuadratureFailure,
                        outage_probability)
 from .beamform import (BeamformerResult, DegenerateChannel, effective_gain,
                        optimal_weights)
-from .channel import ChannelBlock, decode_mask, draw_realizations, substream
+from .channel import ChannelBlock, decode_mask, draw_realizations
 from .config import Case, SystemConfig
 from .dmt import (DegenerateFit, DiversitySource, DmtCurve, analytic_dmt,
                   empirical_diversity, max_diversity, multiplexing_limit)
 from .qos import (PrimaryInfeasible, QosSolution, SecondaryInfeasible,
                   max_lambda_k, search_zeta, secondary_success_prob,
                   solve_assignment)
-from .simulate import (BLOCK_SLOTS, OutageEstimate, OutageSimulation,
-                       ScheduleEstimate, estimate_outage,
-                       estimate_schedule_throughput)
+from .simulate import (OutageEstimate, OutageSimulation, ScheduleEstimate,
+                       estimate_outage, estimate_schedule_throughput, substream)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BLOCK_SLOTS", "BeamformerResult", "Case", "ChannelBlock",
-    "DegenerateChannel", "DegenerateFit", "DiversitySource", "DmtCurve",
-    "InvalidCase", "OutageBreakdown", "OutageEstimate", "OutageSimulation",
+    "BeamformerResult", "Case", "ChannelBlock", "DegenerateChannel",
+    "DegenerateFit", "DiversitySource", "DmtCurve", "InvalidCase",
+    "OutageBreakdown", "OutageEstimate", "OutageSimulation",
     "PrimaryInfeasible", "QosSolution", "QuadratureFailure",
     "ScheduleEstimate", "SecondaryInfeasible", "SystemConfig", "analytic_dmt",
     "case1_outage", "case2_outage", "decode_mask", "draw_realizations",

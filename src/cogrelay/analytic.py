@@ -58,8 +58,8 @@ from .config import Case, SystemConfig, _split_threshold
 _log = logging.getLogger(__name__)
 
 
-class InvalidCase(Exception):
-    """Operation called for the wrong topology case."""
+class InvalidCase(ValueError):
+    """Operation called for the wrong topology case: bad input, so a ValueError."""
 
 
 class QuadratureFailure(Exception):
@@ -348,7 +348,8 @@ def case1_outage(cfg: SystemConfig) -> OutageBreakdown:
     `_case1_nu1`.  The h_k = 2F1(1, k; n+2; a) come from one seeded top row
     (`_case1_h`) and the positive row descent below it (`_case1_row_down`),
     not from `scipy.special.hyp2f1`, which on scipy 1.17.1 is inf or outside
-    1 <= h_k <= (n+1)/(n+1-k) for n >= 99 and a > 0.9.
+    1 <= h_k <= (n+1)/(n+1-k) for n >= 99 and a > 0.9.  A no-direct-link cfg
+    raises InvalidCase, a ValueError.
     """
     if cfg.case is not Case.DIRECT_LINK:
         raise InvalidCase("case1_outage needs cfg.case = DIRECT_LINK")
@@ -379,7 +380,10 @@ def _case2_nu1(c: float, gamma_s: float, pmf) -> float:
 
 
 def case2_outage(cfg: SystemConfig) -> OutageBreakdown:
-    """Primary outage without a direct link: nu1 from `_case2_nu1`, nu2 = Pr{K < 2}."""
+    """Primary outage without a direct link: nu1 from `_case2_nu1`, nu2 = Pr{K < 2}.
+
+    A direct-link cfg raises InvalidCase, a ValueError.
+    """
     if cfg.case is not Case.NO_DIRECT_LINK:
         raise InvalidCase("case2_outage needs cfg.case = NO_DIRECT_LINK")
     return outage_probability(cfg)
@@ -429,8 +433,11 @@ def outage_highsnr(cfg: SystemConfig) -> float:
     q_b, q_f = (thr / cfg.gamma_p for thr in cfg.thresholds())
     m = cfg.M - 1
     log_s = _log_moments(m - 1, cfg.gamma_s)
-    return sum(
-        _exp(log(comb(m, K) / K**d) + _log_pow(q_b, m - K) + _log_pow(q_f, K - 1 + d)
-             + log_s[K - 1])
-        for K in range(1, cfg.M)
-    )
+    terms, c = [], 1.0
+    for K in range(1, cfg.M):
+        # c = C(m, K) as a running float, at most 2.3e306 for m <= 1023; forming
+        # c * (m - K + 1) first would overflow near the peak
+        c *= (m - K + 1) / K
+        terms.append(_exp(log(c / K**d) + _log_pow(q_b, m - K) + _log_pow(q_f, K - 1 + d)
+                          + log_s[K - 1]))
+    return sum(terms)

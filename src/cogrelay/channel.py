@@ -13,9 +13,11 @@ zero-forcing gain is their projection, never a draw from its Gamma law.
 
 A block's power gains are drawn whole; its complex normals can be drawn in
 row chunks, which the Monte Carlo folds one at a time.  Either way a block
-holds the same samples.  The decoding set's Binomial law is the closed
-forms' own (`analytic._binomial_pmf`): the Monte Carlo that checks them
-shares no code with them past `config`.
+holds the same samples.  This module draws from whatever generator it is
+handed: the run's streams, argument checks and block sizes are
+`simulate`'s.  The decoding set's Binomial law is the closed forms' own
+(`analytic._binomial_pmf`): the Monte Carlo that checks them shares no code
+with them past `config`.
 """
 from __future__ import annotations
 
@@ -24,20 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Case, SystemConfig, _as_index
-
-_PHILOX_KEYS = 2**128      # Philox's key and counter range: seeds and indices lie below it
-
-
-def substream(seed: int, index: int) -> np.random.Generator:
-    """Independent, reproducible generator for the index-th block of a run.
-
-    Uses Philox counter jumps so that stream `index` is identical no matter
-    which worker draws it or how many blocks were drawn before it.  seed and
-    index are integers in [0, 2^128); anything else raises ValueError.
-    """
-    return np.random.Generator(np.random.Philox(key=_as_index("seed", seed, 0, _PHILOX_KEYS))
-                               .jumped(_as_index("index", index, 0, _PHILOX_KEYS)))
-
 
 @dataclass(frozen=True)
 class ChannelBlock:

@@ -20,7 +20,7 @@ from .analytic import outage_highsnr, outage_probability
 from .config import Case, SystemConfig, _as_index
 from .dmt import DegenerateFit, DiversitySource, analytic_dmt, empirical_diversity
 from .qos import QosSolution, _solve, search_zeta
-from .simulate import estimate_outage
+from .simulate import _check_run, estimate_outage
 
 
 class ConfigError(Exception):
@@ -284,11 +284,10 @@ def build_spec(argv=None):
     cfg_args = {f.name: values[f.name] for f in fields(SystemConfig)}
     cfg_args["lambda_s"] = values["lambda_s"] or None
     try:
-        _as_index("trials", values["trials"], 1)
-        _as_index("workers", values["workers"], 1)
         # a seed below 2^64 makes every row key seed + row * 2^64 distinct,
         # within a run and across runs at different seeds
         _as_index("seed", values["seed"], 0, 2**64)
+        _check_run(values["trials"], values["seed"], values["workers"])
         cfg = SystemConfig(**cfg_args)
         _as_index("n_points", values["n_points"], 2)
         _as_index("k", values["k"], 1, cfg.M + 1)    # 1-based at the CLI

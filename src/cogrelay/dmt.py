@@ -19,9 +19,8 @@ from math import fsum, inf, log, log2
 import numpy as np
 
 from .analytic import _nu, _outage_parts
-from .channel import _PHILOX_KEYS
 from .config import Case, SystemConfig, _as_index, _as_real, _as_reals, _check_rate
-from .simulate import estimate_outage
+from .simulate import _check_run, estimate_outage
 
 
 class DegenerateFit(Exception):
@@ -97,8 +96,7 @@ def empirical_diversity(cfg: SystemConfig, r: float, gamma_grid,
     if not 0.0 <= r < multiplexing_limit(cfg):
         raise ValueError("r must lie in [0, multiplexing limit)")
     if source is DiversitySource.MONTE_CARLO:
-        seed = _as_index("seed", seed, 0, _PHILOX_KEYS)
-        workers = _as_index("workers", workers, 1)
+        _, seed, workers = _check_run(_MC_MIN_TRIALS, seed, workers)   # as a run checks them
 
     fit = grid[len(grid) // 2:]
     x = [log(g) for g in fit]

@@ -145,6 +145,8 @@ def search_zeta(cfg: SystemConfig, k: int, grid_size: int = 999) -> QosSolution:
     whose nu lies between 1 - lambda_p and cut is in no skipped run, and when
     many do, their runs are halved down to single splits, about one bound
     per split on top of the scan's own sums.
+
+    A direct-link cfg raises InvalidCase, a ValueError.
     """
     if cfg.case is not Case.NO_DIRECT_LINK:
         raise InvalidCase("search_zeta applies to the no-direct-link case only")

@@ -1,6 +1,10 @@
 """Full-protocol Monte Carlo: the ground-truth oracle for the closed forms.
 
-Slots are simulated in blocks of 16384 (2^20 // (M - 1) past M = 65), each
+This module owns every rule of a run; `channel` only draws from the
+generator it is handed.  `substream` opens each block's Philox stream,
+`_check_run` states the one range of trials, seed and workers (`dmt` and
+the CLI call it too), and `_fold` the one block size.  Slots are simulated
+in blocks of 16384 (2^20 // (M - 1) past M = 65), each
 drawn from its own counter-jumped substream of the master seed.  Both block
 tasks count over `_block_events`: power gains drawn whole, then normals drawn
 and passed through the zero-forcing gain in chunks of 2^15 // (M - 1) slots
@@ -24,11 +28,12 @@ from math import fsum, inf, sqrt
 import numpy as np
 
 from .beamform import effective_gain
-from .channel import _PHILOX_KEYS, ChannelBlock, _draw_chunks, decode_mask, substream
+from .channel import ChannelBlock, _draw_chunks, decode_mask
 from .config import Case, SystemConfig, _as_index, _as_reals
 
-BLOCK_SLOTS = 16384
+BLOCK_SLOTS = 16384        # slots per block up to M = 65; `_fold` sizes every block
 _CHUNK_LINKS = 2**15       # relay links per chunk of a block
+_PHILOX_KEYS = 2**128      # Philox's key and counter range: seeds and indices lie below it
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,24 @@ class ScheduleEstimate:
     trials: int
 
 
+def substream(seed: int, index: int) -> np.random.Generator:
+    """Independent, reproducible generator for the index-th block of a run.
+
+    Uses Philox counter jumps so that stream `index` is identical no matter
+    which worker draws it or how many blocks were drawn before it.  seed and
+    index are integers in [0, 2^128); anything else raises ValueError.
+    """
+    return np.random.Generator(np.random.Philox(key=_as_index("seed", seed, 0, _PHILOX_KEYS))
+                               .jumped(_as_index("index", index, 0, _PHILOX_KEYS)))
+
+
+def _check_run(trials, seed, workers) -> tuple:
+    """(trials, seed, workers) as ints; ValueError unless trials >= 1, 0 <= seed < 2^128
+    and workers >= 1.  The one statement of these ranges, for every caller of a run."""
+    return (_as_index("trials", trials, 1), _as_index("seed", seed, 0, _PHILOX_KEYS),
+            _as_index("workers", workers, 1))
+
+
 def _slot_events(cfg: SystemConfig, block: ChannelBlock):
     """Vectorized per-slot outcomes: (primary_ok, secondary_ok, K) arrays."""
     mask = decode_mask(cfg, block)
@@ -75,8 +98,8 @@ def _slot_events(cfg: SystemConfig, block: ChannelBlock):
     return primary_ok, secondary_ok, k
 
 
-def _blocks(trials: int, first: int = 0, step: int = 1, block: int = BLOCK_SLOTS):
-    """(index, n_slots) of blocks first, first + step, ... of `trials` slots, lazily."""
+def _blocks(trials: int, block: int, first: int = 0, step: int = 1):
+    """(index, n_slots) of `block`-slot blocks first, first + step, ... of `trials` slots, lazily."""
     for b in range(first, -(-trials // block), step):
         yield b, min(block, trials - b * block)
 
@@ -107,7 +130,7 @@ def _schedule_block(cfg, omega, seed, index, n):
     return succ, int(np.count_nonzero(primary_ok))
 
 
-def _sum_blocks(task, trials: int, workers: int, block=BLOCK_SLOTS) -> tuple:
+def _sum_blocks(task, trials: int, workers: int, block: int) -> tuple:
     """Elementwise sum of task(index, n) over all blocks, in W strided shares: share 0
     on this thread, the rest on a pool (no thread when W = 1).  Once the fold ends or
     raises, Ctrl-C included, every share skips its remaining blocks."""
@@ -115,7 +138,7 @@ def _sum_blocks(task, trials: int, workers: int, block=BLOCK_SLOTS) -> tuple:
     shares, stop = min(workers, -(-trials // block), cpus or 1), threading.Event()
 
     def share(first):
-        live = takewhile(lambda _: not stop.is_set(), _blocks(trials, first, shares, block))
+        live = takewhile(lambda _: not stop.is_set(), _blocks(trials, block, first, shares))
         return reduce(_add, (task(*b) for b in live))
 
     with ThreadPoolExecutor(shares) as pool:
@@ -126,13 +149,8 @@ def _sum_blocks(task, trials: int, workers: int, block=BLOCK_SLOTS) -> tuple:
 
 
 def _fold(cfg: SystemConfig, task, trials: int, workers: int) -> tuple:
+    """_sum_blocks at the run's block size: BLOCK_SLOTS, or 2^20 // (M - 1) past M = 65."""
     return _sum_blocks(task, trials, workers, min(BLOCK_SLOTS, 2**20 // (cfg.M - 1)))
-
-
-def _check_run(trials, seed, workers) -> tuple:
-    """(trials, seed, workers) as ints; ValueError unless each lies in its range."""
-    return (_as_index("trials", trials, 1), _as_index("seed", seed, 0, _PHILOX_KEYS),
-            _as_index("workers", workers, 1))
 
 
 def _estimate(count: int, trials: int) -> OutageEstimate:

@@ -2,10 +2,11 @@
 
 `average_over_phi` is the adaptive quadrature the closed forms are checked
 against, and `case1_outage_given_phi` / `case2_outage_given_phi` the
-phi-conditional outages it averages, with `decoding_q` the per-relay
-threshold that `_nu_small_k` takes and `decoding_pmf` the Binomial law of
-the decoding-set size.  `outage_mp` builds nu from the model's
-laws in high-precision finite sums, sharing no code with the closed forms;
+phi-conditional outages it averages, built on `decoding_q`, the per-relay
+threshold, and `decoding_pmf`, the Binomial law of the decoding-set size,
+alone: they share no closed-form code with `cogrelay.analytic`.
+`outage_mp` builds nu from the model's laws in high-precision finite sums,
+sharing no code with the closed forms;
 `case2_nu1_mp` is the case-2 finite sum itself, where float e^-c underflows.
 `search_zeta_exhaustive` is the full grid scan behind `search_zeta`,
 `outage_highsnr_direct` the high-SNR asymptotes summed in plain floats,
@@ -24,13 +25,13 @@ import numpy as np
 from scipy import integrate, special
 
 from cogrelay.analytic import (InvalidCase, OutageBreakdown, QuadratureFailure,
-                               _breakdown, _nu_small_k, outage_probability)
+                               outage_probability)
 from cogrelay.beamform import _DEGENERACY_FLOOR, DegenerateChannel
-from cogrelay.channel import draw_realizations, substream
+from cogrelay.channel import draw_realizations
 from cogrelay.config import Case, SystemConfig, _as_index
 from cogrelay.qos import (PrimaryInfeasible, QosSolution, SecondaryInfeasible,
                           solve_assignment)
-from cogrelay.simulate import _slot_events
+from cogrelay.simulate import _slot_events, substream
 
 # term cap for the open-ended series of `_case1_bracket`: over its reachable
 # domain none takes more than ~10^4 terms, so hitting it means a NaN or an
@@ -156,7 +157,7 @@ def phase_q(cfg: SystemConfig) -> tuple:
 
 
 def decoding_q(cfg: SystemConfig) -> float:
-    """Per-relay decoding threshold (2^broadcast_rate - 1)/gamma_p, as `_nu_small_k` takes it."""
+    """Per-relay decoding threshold (2^broadcast_rate - 1)/gamma_p."""
     return phase_q(cfg)[0]
 
 
@@ -167,11 +168,22 @@ def decoding_pmf(cfg: SystemConfig) -> np.ndarray:
     return np.array([comb(m, K) * exp(-q) ** K * (-expm1(-q)) ** (m - K) for K in range(m + 1)])
 
 
+def _given_phi(cfg: SystemConfig, nu1: float) -> OutageBreakdown:
+    """nu1 with nu2 = Pr{K < 2} = pmf[0] + pmf[1] of `decoding_pmf`, times the direct
+    link's failure 1 - e^-q when there is one; each and their sum clipped into [0, 1]."""
+    pmf = decoding_pmf(cfg)
+    nu2 = float(pmf[0] + pmf[1])
+    if cfg.case is Case.DIRECT_LINK:
+        nu2 *= -expm1(-decoding_q(cfg))
+    return OutageBreakdown(nu1=min(max(nu1, 0.0), 1.0), nu2=min(max(nu2, 0.0), 1.0),
+                           nu=min(max(nu1 + nu2, 0.0), 1.0))
+
+
 def case1_outage_given_phi(cfg: SystemConfig, phi: float) -> OutageBreakdown:
     """Outage probabilities conditioned on the interference level phi."""
     if cfg.case is not Case.DIRECT_LINK:
         raise InvalidCase("case1_outage_given_phi needs cfg.case = DIRECT_LINK")
-    return _breakdown(_case1_nu1_given_phi(cfg, phi), _nu_small_k(cfg, decoding_q(cfg)))
+    return _given_phi(cfg, _case1_nu1_given_phi(cfg, phi))
 
 
 def case2_outage_given_phi(cfg: SystemConfig, phi: float) -> OutageBreakdown:
@@ -181,7 +193,7 @@ def case2_outage_given_phi(cfg: SystemConfig, phi: float) -> OutageBreakdown:
     x_zeta = snr_threshold(phase_rates(cfg)[1]) * (1.0 + phi) / cfg.gamma_p
     pmf = decoding_pmf(cfg)
     nu1 = sum(pmf[K] * special.gammainc(K - 1, x_zeta) for K in range(2, cfg.M))
-    return _breakdown(nu1, _nu_small_k(cfg, decoding_q(cfg)))
+    return _given_phi(cfg, nu1)
 
 
 def projection_matrix(h_sd: np.ndarray) -> np.ndarray:

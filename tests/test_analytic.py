@@ -21,7 +21,7 @@ from scipy import integrate, special
 import oracles
 from cogrelay import (Case, InvalidCase, SystemConfig, case1_outage,
                       case2_outage, effective_gain,
-                      outage_highsnr, outage_probability, substream)
+                      outage_highsnr, outage_probability, search_zeta, substream)
 from cogrelay import analytic
 from cogrelay.analytic import _binomial_pmf
 from oracles import (SeriesNotConverged, _case1_bracket, average_over_phi,
@@ -63,6 +63,25 @@ def test_closed_forms_and_monte_carlo_share_only_config():
     for module in ("channel", "beamform", "simulate"):
         assert not _package_imports(module) & {"analytic", "qos", "dmt", "cogrelay"}, module
     assert _package_imports("simulate") >= {"channel", "config"}     # the parser sees imports
+
+
+def test_simulate_owns_the_monte_carlo_run():
+    # the QoS layer, the fits and the CLI reach the Monte Carlo through simulate
+    # alone; channel is the channel model, and the run's streams are simulate's
+    for module in ("qos", "dmt", "cli"):
+        assert not _package_imports(module) & {"channel", "beamform"}, module
+    assert "simulate" not in _package_imports("channel")
+    tree = ast.parse(Path(analytic.__file__).with_name("channel.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    defined |= {t.id for node in tree.body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    assert not defined & {"substream", "_PHILOX_KEYS"}, defined
+    # the oracles share no closed-form code: public names of analytic only
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "cogrelay.analytic"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 # ---------------------------------------------------------------- exact special cases
@@ -320,6 +339,17 @@ def test_highsnr_matches_plain_float_sum():
                                 assert math.isclose(outage_highsnr(cfg), ref, rel_tol=1e-12), cfg
 
 
+def test_highsnr_forms_binomials_without_big_integers(monkeypatch):
+    # C(M-1, K) comes from a running float, O(M) at M = 1024 instead of the
+    # thousand-digit integers of math.comb
+    def no_comb(*args):
+        raise AssertionError("outage_highsnr called comb")
+
+    monkeypatch.setattr(analytic, "comb", no_comb)
+    for M, case in itertools.product((2, 3, 40, 1024), ("direct", "nodirect")):
+        assert outage_highsnr(_cfg(M=M, case=case, zeta=0.5)) > 0.0
+
+
 def test_highsnr_vs_mpmath():
     mpmath = pytest.importorskip("mpmath")
 
@@ -551,6 +581,15 @@ def test_extreme_rate_saturates_cleanly():
     assert b.nu == 1.0 and not math.isnan(b.nu1)
     b2 = case2_outage(_cfg(R=3000.0, case="nodirect"))
     assert b2.nu == 1.0
+
+
+@pytest.mark.parametrize("call, case", [
+    (case1_outage, "nodirect"), (case2_outage, "direct"),
+    (lambda cfg: search_zeta(cfg, 1), "direct")], ids=["case1", "case2", "search_zeta"])
+def test_wrong_topology_is_a_value_error(call, case):
+    # bad input raises ValueError throughout the package, the topology included
+    with pytest.raises(ValueError, match="case"):
+        call(_cfg(case=case))
 
 
 def test_case_dispatch_errors():

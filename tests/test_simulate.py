@@ -3,17 +3,19 @@ import math
 import threading
 import tracemalloc
 from math import inf, nan
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cogrelay import (BLOCK_SLOTS, SystemConfig, draw_realizations, estimate_outage,
+import cogrelay
+from cogrelay import (SystemConfig, draw_realizations, estimate_outage,
                       estimate_schedule_throughput, outage_probability,
                       secondary_success_prob, solve_assignment, substream)
 from cogrelay import simulate
 from cogrelay.channel import _draw_chunks
-from cogrelay.simulate import _blocks
+from cogrelay.simulate import BLOCK_SLOTS, _blocks
 
 from oracles import decoding_pmf, outage_block_ref, schedule_block_ref
 
@@ -47,14 +49,29 @@ def test_slot_stream_is_block_stream():
     assert np.array_equal(tail, ref.random(4))
 
 
+def test_each_run_rule_is_stated_once():
+    # the ranges of trials and workers live in _check_run, which dmt and the CLI
+    # call; the Philox key range in simulate; the block size in _fold, which
+    # hands it to _blocks and _sum_blocks (neither has a default, since a
+    # block past M = 65 is no BLOCK_SLOTS)
+    sources = {p.name: p.read_text() for p in Path(simulate.__file__).parent.glob("*.py")}
+    check_run = inspect.getsource(simulate._check_run)
+    for rule in ('_as_index("trials"', '_as_index("workers"'):
+        assert sum(src.count(rule) for src in sources.values()) == 1 == check_run.count(rule)
+    assert [name for name, src in sources.items() if "_PHILOX_KEYS" in src] == ["simulate.py"]
+    for fn in (simulate._blocks, simulate._sum_blocks):
+        assert inspect.signature(fn).parameters["block"].default is inspect.Parameter.empty
+    assert "BLOCK_SLOTS" not in cogrelay.__all__
+
+
 def test_blocks_are_lazy():
     # the block plan is a generator: a run of 10^15 slots yields its first
     # block without building the other 6e10 (checked first, so that a
     # list-building plan fails here instead of filling memory)
     assert inspect.isgeneratorfunction(_blocks)
-    blocks = _blocks(10**15)
+    blocks = _blocks(10**15, BLOCK_SLOTS)
     assert next(blocks) == (0, BLOCK_SLOTS)
-    assert list(_blocks(2 * BLOCK_SLOTS + 5)) == [
+    assert list(_blocks(2 * BLOCK_SLOTS + 5, BLOCK_SLOTS)) == [
         (0, BLOCK_SLOTS), (1, BLOCK_SLOTS), (2, 5)]
 
 
@@ -111,12 +128,12 @@ def test_pool_gets_one_share_per_worker(monkeypatch):
     monkeypatch.setattr(_FakePool, "seen", [])
     monkeypatch.setattr(simulate, "os", _cpus(64))
     trials = 1000 * BLOCK_SLOTS - 7
-    total = simulate._sum_blocks(_count_slots, trials, 3)
-    assert total == simulate._sum_blocks(_count_slots, trials, 1)
+    total = simulate._sum_blocks(_count_slots, trials, 3, BLOCK_SLOTS)
+    assert total == simulate._sum_blocks(_count_slots, trials, 1, BLOCK_SLOTS)
     assert total == (trials, 999 * 1000 // 2)
     three, one = _FakePool.seen
     assert three.items == [(1,), (2,)] and one.items == []
-    simulate._sum_blocks(_count_slots, 2 * BLOCK_SLOTS, 16)
+    simulate._sum_blocks(_count_slots, 2 * BLOCK_SLOTS, 16, BLOCK_SLOTS)
     assert _FakePool.seen[-1].items == [(1,)]
     # W is capped at this process's CPUs, read from its affinity where the
     # platform has one and from cpu_count (which may not know) elsewhere
@@ -124,7 +141,7 @@ def test_pool_gets_one_share_per_worker(monkeypatch):
                             (SimpleNamespace(cpu_count=lambda: 4), 4),
                             (SimpleNamespace(cpu_count=lambda: None), 1)):
         monkeypatch.setattr(simulate, "os", os_view)
-        assert simulate._sum_blocks(_count_slots, trials, 100_000) == total
+        assert simulate._sum_blocks(_count_slots, trials, 100_000, BLOCK_SLOTS) == total
         assert len(_FakePool.seen[-1].items) == shares - 1
 
 

@@ -101,3 +101,23 @@ def test_op_digest_mc_sha256_reads_the_monte_carlo_fields_alone():
     # a moved closed form changes sha256 alone; a moved sample changes both
     assert moved_closed[2] != base[2] and moved_closed[3] == base[3]
     assert moved_mc[2] != base[2] and moved_mc[3] != base[3]
+
+
+_LINE = "mc-validate seed=1 ops=3 failed=0 sha256=aa mc_sha256=00"
+
+
+def test_op_digest_compare_reports_whole_lines_and_monte_carlo_fields():
+    compare = _load("op_digest").compare
+    moved_closed = _LINE.replace("sha256=aa", "sha256=a1")
+    moved_mc = _LINE.replace("sha256=aa mc_sha256=00", "sha256=a1 mc_sha256=01")
+    assert compare(_LINE + "\n", _LINE + "\n") == [
+        "mc-validate seed=1 same mc_sha256 same", f"  head: {_LINE}", f"  base: {_LINE}"]
+    # a closed form moved: the whole line differs, the Monte Carlo fields do not
+    assert compare(moved_closed, _LINE) == [
+        "mc-validate seed=1 differs mc_sha256 same", f"  head: {moved_closed}", f"  base: {_LINE}"]
+    assert compare(_LINE, moved_mc)[0] == "mc-validate seed=1 differs mc_sha256 differs"
+    # a workload and seed on one side only, with keys in sorted order
+    other = "direct-sweep seed=2 ops=2 failed=0 sha256=bb mc_sha256=00"
+    assert compare(f"{_LINE}\n\n{other}\n", _LINE) == [
+        "direct-sweep seed=2 differs mc_sha256 differs", f"  head: {other}", "  base: (none)",
+        "mc-validate seed=1 same mc_sha256 same", f"  head: {_LINE}", f"  base: {_LINE}"]

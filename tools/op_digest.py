@@ -1,6 +1,7 @@
 """Digest every benchmark op's result, to show that a change keeps each one bit for bit.
 
     python tools/op_digest.py ROOT SEED [SEED ...]
+    python tools/op_digest.py --compare HEAD BASE
 
 ROOT is a cogrelay checkout.  For each workload of ROOT/perfbench and each
 seed, one pass runs the seed's op list against ROOT/src and prints one line:
@@ -12,6 +13,10 @@ simulation half of each mc_outage result and each mc_schedule result.  Run
 it on two checkouts and compare the lines; equal mc_sha256 with unequal
 sha256 shows unchanged samples while a closed form moved.
 ROOT/perfbench is only imported: no bytecode is written there.
+
+The --compare form reads two files of such lines, HEAD's and BASE's, and
+for each workload and seed prints whether the whole lines agree and whether
+their mc_sha256 fields do, then both lines ("(none)" for a missing one).
 """
 from __future__ import annotations
 
@@ -67,9 +72,31 @@ def digest(ops, Tracer, workload: str, seed: int) -> tuple:
     return len(op_list), failed, sha.hexdigest(), mc_sha.hexdigest()
 
 
+def compare(head: str, base: str) -> list:
+    """The --compare report of two digest outputs, given as their text, one line per item."""
+    def lines(text):
+        return {tuple(line.split()[:2]): line.strip() for line in text.splitlines() if line.strip()}
+
+    def mc(line):
+        return next((f for f in (line or "").split() if f.startswith("mc_sha256=")), None)
+
+    head, base = lines(head), lines(base)
+    report = []
+    for key in sorted(head.keys() | base.keys()):
+        verdict = "same" if head.get(key) == base.get(key) else "differs"
+        mc_verdict = "same" if mc(head.get(key)) == mc(base.get(key)) else "differs"
+        report += [" ".join((*key, verdict, "mc_sha256", mc_verdict)),
+                   f"  head: {head.get(key, '(none)')}", f"  base: {base.get(key, '(none)')}"]
+    return report
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) < 2:
+    if argv[:1] == ["--compare"] and len(argv) == 3:
+        for line in compare(Path(argv[1]).read_text(), Path(argv[2]).read_text()):
+            print(line)
+        return 0
+    if len(argv) < 2 or argv[0] == "--compare":
         sys.exit(__doc__)
     root = Path(argv[0]).resolve()
     sys.dont_write_bytecode = True
